@@ -517,7 +517,8 @@ def _cmd_search(args, out: IO[str]) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=out)
             return 2
-        stats = ScoreStatistics(matrix, gaps)
+        with instr.span("stats_calibrate"):
+            stats = ScoreStatistics(matrix, gaps)
         with instr.span("rank"):
             hits = annotate_hits(
                 result, stats, len(query), k=args.top,

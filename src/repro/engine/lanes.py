@@ -24,6 +24,13 @@ all lanes with one ``np.maximum.accumulate``.  (Routing a gap through a
 cell whose H came from E would pay ``rho`` twice where extending the
 original gap pays ``sigma`` — never better when ``sigma <= rho``.)
 
+:func:`score_pairs` is the pairwise form of the same sweep (the
+paper's inter-task kernel, one independent pair per thread, and the
+pairwise half of the SSW library's API): lane ``k`` carries its own
+pair ``(a_k, b_k)``, so only the per-row similarity gather differs —
+``W[a_k[i], b_k[:]]`` per lane instead of one query row against every
+lane.  Both share the row update in :func:`_gotoh_sweep`.
+
 Padded columns read a sentinel similarity of ``-(m * |W|_max + 1)``, so
 ``H_diag + W`` is negative there; padded cells can only relay (decayed)
 in-bounds values and never raise a lane's maximum.  Scores are therefore
@@ -33,15 +40,22 @@ which the equivalence suite asserts.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.alphabet import GapPenalty
+from repro.alphabet import GapPenalty, SubstitutionMatrix
 from repro.engine.pack import PackedGroup
 from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.profile import QueryProfile
 from repro.sw.utils import validate_penalties
 
-__all__ = ["score_packed_group", "padded_lane_profile", "count_sweep_work"]
+__all__ = [
+    "score_packed_group",
+    "score_pairs",
+    "padded_lane_profile",
+    "count_sweep_work",
+]
 
 
 def count_sweep_work(
@@ -120,15 +134,76 @@ def score_packed_group(
     instr = obs_current()
     if instr.enabled:
         count_sweep_work(instr, m, group)
-    s, L = group.codes.shape
+    max_abs = int(np.abs(profile.scores).max())
+    dtype = _working_dtype(m, group.codes.shape[1], max_abs, gaps)
+    pp = padded_lane_profile(profile, group.pad_code).astype(dtype, copy=False)
+    codes = group.codes
+    sub = np.empty(codes.shape, dtype=dtype)
+
+    def gather(i: int) -> np.ndarray:
+        # Similarity of query row i against every lane column: one gather.
+        return np.take(pp[i], codes, out=sub)
+
+    return _gotoh_sweep(gather, m, codes.shape, max_abs, gaps, dtype)
+
+
+def score_pairs(
+    a: np.ndarray,
+    b: np.ndarray,
+    matrix: SubstitutionMatrix,
+    gaps: GapPenalty,
+) -> np.ndarray:
+    """Optimal local-alignment score of every pair ``(a[k], b[k])``.
+
+    The pairwise form of the sweep: lane ``k`` carries its own pair, so
+    the per-row similarities gather ``W[a[k, i], b[k, :]]`` per lane
+    instead of one query row against every lane.  ``a`` is
+    ``(pairs, m)`` and ``b`` ``(pairs, n)`` residue codes; every ``a``
+    has the same length and so does every ``b`` (no padding).  Returns
+    an ``int64`` array of one score per pair.
+    """
+    validate_penalties(gaps)
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"need two (pairs, length) code arrays with one row per pair, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        raise ValueError("cannot align empty sequences")
+    m = a.shape[1]
+    max_abs = int(np.abs(matrix.scores).max())
+    dtype = _working_dtype(m, b.shape[1], max_abs, gaps)
+    w = matrix.scores.astype(dtype)
+    rows = a.T[:, :, None]  # rows[i]: lane k's residue of row i, (pairs, 1)
+
+    def gather(i: int) -> np.ndarray:
+        return w[rows[i], b]
+
+    return _gotoh_sweep(gather, m, b.shape, max_abs, gaps, dtype)
+
+
+def _gotoh_sweep(
+    gather: Callable[[int], np.ndarray],
+    m: int,
+    shape: tuple[int, int],
+    max_abs: int,
+    gaps: GapPenalty,
+    dtype: type,
+) -> np.ndarray:
+    """The lane sweep proper: ``m`` row steps over ``shape = (s, L)`` lanes.
+
+    ``gather(i)`` returns row ``i``'s ``(s, L)`` similarities in
+    ``dtype``; ``max_abs`` bounds ``|W|`` over them.
+    Returns each lane's best score as ``int64``.
+    """
+    s, L = shape
     rho, sigma = gaps.rho, gaps.sigma
-    pp = padded_lane_profile(profile, group.pad_code)
-    dtype = _working_dtype(m, L, int(np.abs(profile.scores).max()), gaps)
-    pp = pp.astype(dtype, copy=False)
 
     #: -inf stand-in for the F boundary: deep enough that m rows of
     #: sigma-decay still lose to any reachable alternative.
-    neg = dtype(-(m * int(np.abs(profile.scores).max()) + rho + sigma * (m + 2)))
+    neg = dtype(-(m * max_abs + rho + sigma * (m + 2)))
     ramp = (sigma * np.arange(L + 1, dtype=np.int64)).astype(dtype)
     e_off = (rho + ramp[:L]).astype(dtype)  # rho + (j-1)*sigma at column j
 
@@ -138,7 +213,6 @@ def score_packed_group(
     htmp = np.empty_like(h_prev)  # max(0, F, H_diag + W): H before E
     g = np.empty_like(h_prev)  # scan buffer
     tmp = np.empty_like(h_prev)
-    sub = np.empty((s, L), dtype=dtype)
     best = np.zeros(s, dtype=dtype)
 
     for i in range(m):
@@ -146,8 +220,7 @@ def score_packed_group(
         np.subtract(f_prev, sigma, out=f_prev)
         np.subtract(h_prev, rho, out=tmp)
         np.maximum(f_prev, tmp, out=f_prev)
-        # Similarity of query row i against every lane column: one gather.
-        np.take(pp[i], group.codes, out=sub)
+        sub = gather(i)
         # Htmp = max(0, F, H[i-1][j-1] + W) — H with E not yet folded in.
         np.add(h_prev[:, :L], sub, out=htmp[:, 1:])
         np.maximum(htmp[:, 1:], f_prev[:, 1:], out=htmp[:, 1:])

@@ -15,6 +15,9 @@ Two parameterizations are provided:
   dispatch threshold, fitted with :func:`fit_lognormal_sigma`; the six
   profiles of the paper's Table II are predefined in
   :data:`PAPER_DATABASES`.
+
+SciPy's normal quantiles are imported inside the functions that use
+them, so importing this module (which the CLI does) stays SciPy-free.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.alphabet import PROTEIN, Alphabet
 from repro.sequence.database import Database
@@ -97,6 +99,8 @@ def lognormal_lengths(
         raise ValueError(f"n must be positive, got {n}")
     mu, sigma = _mean_std_to_mu_sigma(mean, std)
     if stratified:
+        from scipy import stats
+
         probs = (np.arange(n) + 0.5) / n
         raw = np.exp(mu + sigma * stats.norm.ppf(probs))
         rng.shuffle(raw)
@@ -141,12 +145,8 @@ def lognormal_database(
     return _materialize(lengths, rng, alphabet, name)
 
 
-def fit_lognormal_sigma(median: float, threshold: int, frac_over: float) -> float:
-    """Solve for the log-normal sigma hitting a tail constraint.
-
-    Finds ``sigma`` such that a log-normal with median ``median`` satisfies
-    ``P(L >= threshold) == frac_over``.
-    """
+def _check_tail_fit(median: float, threshold: int, frac_over: float) -> None:
+    """The argument checks of :func:`fit_lognormal_sigma`, without the fit."""
     if median <= 0:
         raise ValueError(f"median must be positive, got {median}")
     if threshold <= median:
@@ -155,6 +155,17 @@ def fit_lognormal_sigma(median: float, threshold: int, frac_over: float) -> floa
         )
     if not 0 < frac_over < 0.5:
         raise ValueError(f"frac_over must be in (0, 0.5), got {frac_over}")
+
+
+def fit_lognormal_sigma(median: float, threshold: int, frac_over: float) -> float:
+    """Solve for the log-normal sigma hitting a tail constraint.
+
+    Finds ``sigma`` such that a log-normal with median ``median`` satisfies
+    ``P(L >= threshold) == frac_over``.
+    """
+    _check_tail_fit(median, threshold, frac_over)
+    from scipy import stats
+
     z = stats.norm.ppf(1.0 - frac_over)
     return float((math.log(threshold) - math.log(median)) / z)
 
@@ -200,8 +211,9 @@ class DatabaseProfile:
             raise ValueError(
                 "heavy_range must be an increasing range above the threshold"
             )
-        # Validate the fit eagerly so broken profiles fail at construction.
-        fit_lognormal_sigma(
+        # Validate the fit's arguments eagerly so broken profiles fail at
+        # construction (the fit itself needs SciPy; it runs on first use).
+        _check_tail_fit(
             self.median_length, self.threshold, self._lognormal_tail_mass
         )
 
@@ -230,6 +242,8 @@ class DatabaseProfile:
         """Model tail mass ``P(L >= threshold)`` for an arbitrary threshold."""
         if threshold <= 0:
             raise ValueError("threshold must be positive")
+        from scipy import stats
+
         z = (math.log(threshold) - self.mu) / self.sigma
         lognormal_part = float(stats.norm.sf(z)) * (1.0 - self.heavy_fraction)
         lo, hi = self.heavy_range
@@ -256,6 +270,8 @@ class DatabaseProfile:
         n_log = n - n_heavy
         lo, hi = self.heavy_range
         if stratified:
+            from scipy import stats
+
             probs = (np.arange(n_log) + 0.5) / n_log
             raw = np.exp(self.mu + self.sigma * stats.norm.ppf(probs))
             if n_heavy:
