@@ -67,6 +67,7 @@ from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
     DEFAULT_GROUP_SIZE,
     BatchedEngine,
+    SearchConfig,
     build_store,
     open_database,
 )
@@ -186,9 +187,8 @@ def time_antidiagonal(query, db: Database, gaps: GapPenalty) -> float:
     return _time(run)
 
 
-def time_batched(query, db, gaps: GapPenalty, *,
-                 workers: int, group_size: int,
-                 lane_engine: str = "gotoh") -> tuple[float, object, object]:
+def time_batched(query, db, gaps: GapPenalty,
+                 config: SearchConfig) -> tuple[float, object, object]:
     """Time one packed-engine configuration; returns ``(seconds,
     EngineReport, collection session)``.
 
@@ -200,10 +200,7 @@ def time_batched(query, db, gaps: GapPenalty, *,
     session so the returned session's counters and histograms describe
     exactly one search.
     """
-    engine = BatchedEngine(
-        BLOSUM62, gaps, group_size=group_size, workers=workers,
-        lane_engine=lane_engine,
-    )
+    engine = BatchedEngine(BLOSUM62, gaps, config)
     holder = {}
 
     def run():
@@ -252,12 +249,15 @@ def run_benchmark(
     anti_obs = _session_observation(session)
     # The single-worker batched session doubles as the report's
     # top-level spans/counters/histograms.
-    batched_seconds, report, instr = time_batched(
-        query, db, gaps, workers=1, group_size=group_size
-    )
+    def config(engine: str = "batched", workers: int = 1) -> SearchConfig:
+        return SearchConfig(
+            engine=engine, workers=workers, group_size=group_size
+        )
+
+    batched_seconds, report, instr = time_batched(query, db, gaps, config())
     batched_obs = _session_observation(instr)
     fanned_seconds, _, session = time_batched(
-        query, db, gaps, workers=n_workers, group_size=group_size
+        query, db, gaps, config(workers=n_workers)
     )
     fanned_obs = _session_observation(session)
     # The same batched configurations against a pre-packed .rdb store:
@@ -270,27 +270,22 @@ def run_benchmark(
                 group_size=group_size,
             ).path
         )
-        db_seconds, _, session = time_batched(
-            query, store, gaps, workers=1, group_size=group_size
-        )
+        db_seconds, _, session = time_batched(query, store, gaps, config())
         db_obs = _session_observation(session)
         db_fanned_seconds, _, session = time_batched(
-            query, store, gaps, workers=n_workers, group_size=group_size
+            query, store, gaps, config(workers=n_workers)
         )
         db_fanned_obs = _session_observation(session)
     striped_seconds, _, session = time_batched(
-        query, db, gaps, workers=1, group_size=group_size,
-        lane_engine="striped",
+        query, db, gaps, config("striped")
     )
     striped_obs = _session_observation(session)
     hetero_seconds, hetero_report, session = time_batched(
-        query, db, gaps, workers=1, group_size=group_size,
-        lane_engine="hetero",
+        query, db, gaps, config("hetero")
     )
     hetero_obs = _session_observation(session)
     hetero_fanned_seconds, _, session = time_batched(
-        query, db, gaps, workers=n_workers, group_size=group_size,
-        lane_engine="hetero",
+        query, db, gaps, config("hetero", workers=n_workers)
     )
     hetero_fanned_obs = _session_observation(session)
 

@@ -26,10 +26,12 @@ from repro.app.results import Hit, SearchResult
 from repro.app.scheduler import InterTaskSchedule, schedule_inter_task
 from repro.app.threshold import optimal_threshold, threshold_sweep
 from repro.app.transfer import TransferModel
+from repro.engine import SearchConfig
 
 __all__ = [
     "BatchReport",
     "CudaSW",
+    "SearchConfig",
     "SearchReport",
     "predict_batch",
     "search_batch",

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 from repro.app.cudasw import CudaSW, SearchReport
 from repro.app.results import SearchResult
-from repro.engine import DatabaseStore, FaultPolicy, MemoryBudget
+from repro.engine import DatabaseStore, SearchConfig, SearchPlan, plan_search
 from repro.obs import (
     COLLECT_MODES,
     RunReport,
@@ -80,40 +81,29 @@ def search_batch(
     app: CudaSW,
     queries: list[Sequence],
     db: Database | DatabaseStore,
+    config: SearchConfig | None = None,
     *,
-    engine: str = "batched",
-    workers: int = 1,
-    fault_policy: FaultPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
-    memory_budget: MemoryBudget | None = None,
     collect: str = "off",
-    split_threshold: int | str | None = None,
-    strip_cell_cost: float | None = None,
-    striped_column_overhead: float | None = None,
+    **options: Any,
 ) -> tuple[list[SearchResult], BatchReport]:
     """Functionally search every query; returns per-query results plus
     the aggregated report.
 
-    ``db`` may be an opened :class:`~repro.engine.DatabaseStore` — the
-    pre-packed geometry then pays off once per *campaign*: every query
-    reuses the same memmapped residues and stored group plan.
+    The search options come as a :class:`~repro.engine.SearchConfig` or
+    as its fields, exactly as in :meth:`CudaSW.search` (see the "Search
+    options" table in ``docs/engine.md``).  A packing engine (batched,
+    striped or hetero) plans the database **once per campaign** — length
+    sort, group ranges, per-group kernels and, for hetero, the tuned
+    split threshold (:func:`~repro.engine.plan_search`) — and every
+    query reuses that plan, as CUDASW++ reuses its preprocessed
+    database.  ``db`` may be an opened
+    :class:`~repro.engine.DatabaseStore`: the plan then comes from the
+    store's index and every query reads the same memmapped residues.
 
-    ``engine`` and ``workers`` select the functional score backend per
-    :meth:`CudaSW.search` — the batched default reuses CUDASW++'s
-    once-per-database preprocessing spirit by scoring whole packed
-    groups per NumPy sweep for every query of the campaign;
-    ``engine="striped"`` runs the same pipeline with the Farrar
-    striped lane kernel, ``engine="hetero"`` dispatches each packed
-    group to the bulk or long-tail strip engine by length threshold
-    (``split_threshold``: ``"auto"`` or an integer length, hetero
-    only).  ``strip_cell_cost`` and ``striped_column_overhead``
-    override the ``"auto"`` threshold's cost-model constants for the
-    whole campaign (hetero only, see :meth:`CudaSW.search`).
-
-    ``fault_policy`` is applied to every query's search (batched or
-    striped engine only).  The policy's deadline is per query, not per campaign; a
-    query that exceeds it raises
+    The fault policy applies to every query's search.  Its deadline is
+    per query, not per campaign; a query that exceeds it raises
     :class:`~repro.engine.SearchDeadlineExceeded` with that query's
     partial scores attached.
 
@@ -122,8 +112,7 @@ def search_batch(
     ``<checkpoint>.q<i>`` (zero-padded).  With ``resume=True``,
     already-complete queries replay entirely from their journals and a
     partially journaled query recomputes only its missing groups, so a
-    killed campaign restarts from where it died.  ``memory_budget``
-    caps per-group sweep memory exactly as in :meth:`CudaSW.search`.
+    killed campaign restarts from where it died.
 
     ``collect`` (``"off"|"counters"|"full"``) opens one campaign-level
     observability session spanning every query: per-query phase spans
@@ -137,8 +126,13 @@ def search_batch(
         raise ValueError(
             f"collect must be one of {COLLECT_MODES}, got {collect!r}"
         )
+    config = config or SearchConfig(**options)
 
     def run() -> tuple[list[SearchResult], BatchReport]:
+        target: Database | DatabaseStore | SearchPlan = db
+        if config.packs:
+            with obs_current().span("pack"):
+                target = plan_search(db, config)
         results = []
         reports = []
         for i, query in enumerate(queries):
@@ -148,12 +142,7 @@ def search_batch(
                 else f"{os.fspath(checkpoint)}.q{i:04d}"
             )
             result, report = app.search(
-                query, db, engine=engine, workers=workers,
-                fault_policy=fault_policy, checkpoint=journal_path,
-                resume=resume, memory_budget=memory_budget,
-                split_threshold=split_threshold,
-                strip_cell_cost=strip_cell_cost,
-                striped_column_overhead=striped_column_overhead,
+                query, target, config, checkpoint=journal_path, resume=resume
             )
             results.append(result)
             reports.append(report)
@@ -169,8 +158,8 @@ def search_batch(
         "batch_queries": len(queries),
         "database_sequences": len(db_view),
         "database_residues": db_view.total_residues,
-        "engine": engine,
-        "workers": workers,
+        "engine": config.engine,
+        "workers": config.workers,
         "campaign_gcups": out[1].gcups,
     }
     if isinstance(db, DatabaseStore):

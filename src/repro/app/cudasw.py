@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -38,8 +39,8 @@ from repro.engine import (
     BatchedEngine,
     DatabaseStore,
     EngineReport,
-    FaultPolicy,
-    MemoryBudget,
+    SearchConfig,
+    SearchPlan,
 )
 from repro.obs import (
     COLLECT_MODES,
@@ -53,13 +54,10 @@ from repro.sw.antidiagonal import sw_score_antidiagonal
 from repro.sw.scalar import sw_score_scalar
 from repro.sw.utils import as_codes
 
-__all__ = ["CudaSW", "SearchReport", "tuned_improved_config", "SEARCH_ENGINES"]
+__all__ = ["CudaSW", "SearchReport", "tuned_improved_config"]
 
 #: The paper's default dispatch threshold.
 DEFAULT_THRESHOLD = 3072
-
-#: Functional score backends selectable in :meth:`CudaSW.search`.
-SEARCH_ENGINES = ("scalar", "antidiagonal", "batched", "striped", "hetero")
 
 
 def tuned_improved_config(device: DeviceSpec) -> ImprovedKernelConfig:
@@ -161,10 +159,10 @@ class CudaSW:
         self.cost = CostModel(device, calibration, cache_enabled=cache_enabled)
         self.transfer = TransferModel(device, streaming=streaming_copy)
         self._auto_cache: dict = {}
-        #: Packing/execution accounting of the last batched-engine search
-        #: (``None`` until a ``engine="batched"`` search runs; reset to
-        #: ``None`` by every :meth:`search` so other engines never show a
-        #: previous search's stats).
+        #: Packing/execution accounting of the last search by a packing
+        #: engine (batched, striped or hetero; ``None`` until one runs,
+        #: and reset to ``None`` by every :meth:`search` so the per-pair
+        #: engines never show a previous search's stats).
         self.last_engine_report: EngineReport | None = None
         #: Merged observability document of the last
         #: ``search(..., collect="counters"|"full")`` call (``None``
@@ -287,71 +285,43 @@ class CudaSW:
     def search(
         self,
         query: Sequence,
-        db: Database | DatabaseStore,
+        target: Database | DatabaseStore | SearchPlan,
+        config: SearchConfig | None = None,
         *,
-        engine: str = "batched",
-        workers: int = 1,
-        group_size: int | None = None,
-        fault_policy: FaultPolicy | None = None,
         checkpoint: str | os.PathLike | None = None,
         resume: bool = False,
-        memory_budget: MemoryBudget | None = None,
-        simulate_kernels: bool = False,
         collect: str = "off",
         memory_phases: bool = False,
-        split_threshold: int | str | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
+        **options: Any,
     ) -> tuple[SearchResult, SearchReport]:
         """Compute every database sequence's score, plus the timing report.
 
-        ``db`` is a materialized :class:`Database` or an opened
+        ``target`` is a materialized :class:`Database`, an opened
         :class:`~repro.engine.DatabaseStore` (``repro db build`` +
-        :func:`~repro.engine.open_database`): the store path reads
-        residues through a validated memory map, reuses the group
-        geometry persisted at build time, and ships group references —
-        not pickled arrays — to pool workers.  Scores are bit-identical
+        :func:`~repro.engine.open_database`) or a
+        :class:`~repro.engine.SearchPlan` built once for many queries
+        (:func:`~repro.engine.plan_search`; it carries its own config).
+        The store path reads residues through a validated memory map,
+        plans from the stored index and ships group references — not
+        pickled arrays — to pool workers.  Scores are bit-identical
         either way, on every engine.
+
+        The search options come as a :class:`~repro.engine.SearchConfig`
+        or as its fields (``engine=``, ``workers=``, ``group_size=``,
+        ``split_threshold=``, ``fault_policy=``, ``memory_budget=``);
+        see the "Search options" table in ``docs/engine.md``.  All
+        engines are bit-identical, which tests verify; they differ only
+        in throughput.  Packing-engine accounting lands in
+        :attr:`last_engine_report`.
 
         Parameters
         ----------
-        engine:
-            Functional score backend: ``"batched"`` (default) packs
-            length-sorted groups and advances all lanes per NumPy step
-            (:class:`~repro.engine.BatchedEngine`; packing accounting
-            lands in :attr:`last_engine_report`), ``"striped"`` the
-            same packed pipeline with the Farrar striped lane kernel
-            and saturating 8/16-bit score tiers
-            (:mod:`repro.engine.striped`), ``"hetero"`` the paper's
-            length-threshold split — sequences at or under the split
-            threshold sweep as striped bulk groups, longer ones as
-            bounded-padding strip groups
-            (:mod:`repro.engine.strips`) in the same search —
-            ``"antidiagonal"`` runs the per-pair wavefront aligner,
-            ``"scalar"`` the textbook reference.  All engines are
-            bit-identical, which tests verify; they differ only in
-            throughput.
-        workers:
-            Worker processes for the batched/striped engines' group
-            fan-out (1 = serial; ignored by the per-pair engines).
-        group_size:
-            Lanes per packed group for the batched/striped engines
-            (default :data:`~repro.engine.DEFAULT_GROUP_SIZE`).
-        fault_policy:
-            :class:`~repro.engine.FaultPolicy` for the batched
-            engine's fan-out: per-task timeout, bounded retries with
-            backoff, and a whole-search deadline (on expiry a
-            :class:`~repro.engine.SearchDeadlineExceeded` is raised
-            carrying partial scores).  Only the batched engine
-            dispatches work units, so combining a policy with another
-            engine or ``simulate_kernels`` is an error.
         checkpoint:
             Path of a crash-safe write-ahead journal
             (:class:`~repro.engine.CheckpointJournal`): every completed
             group's scores are durably appended as the search runs, so
             a ``SIGKILL``/OOM/reboot costs at most the group in flight.
-            Batched engine only (like ``fault_policy``).  A search that
-            dies behind a deadline
+            Packing engines only.  A search that dies behind a deadline
             (:class:`~repro.engine.SearchDeadlineExceeded`) leaves its
             completed groups in the journal, so it is resumable too.
         resume:
@@ -363,16 +333,6 @@ class CudaSW:
             are bit-identical to an uninterrupted run.  Without
             ``resume``, an existing journal is truncated and the search
             starts fresh.
-        memory_budget:
-            Optional :class:`~repro.engine.MemoryBudget` capping any
-            single packed group's estimated sweep working set; oversized
-            groups are split at packing time instead of OOM-killing the
-            process (batched engine only; scores unchanged).
-        simulate_kernels:
-            When true, every pair runs through the dispatched kernel's
-            functional simulator instead of ``engine`` (slow; small
-            databases only) while counts/timing still come from the
-            kernel models.
         collect:
             Observability mode (:data:`repro.obs.COLLECT_MODES`):
             ``"off"`` (default) records nothing, ``"counters"`` fills a
@@ -390,106 +350,48 @@ class CudaSW:
             :class:`~repro.engine.MemoryBudget` estimator (ignored
             when this search joins an outer session, which owns the
             session configuration).
-        split_threshold:
-            Heterogeneous dispatch length threshold, ``engine="hetero"``
-            only: ``"auto"`` (the default for hetero; tuned per
-            database by :func:`repro.app.threshold.tune_split_threshold`
-            from the packed-group geometry) or an integer length
-            ``>= 0`` — sequences at or under it go to the striped bulk
-            engine, longer ones to the strip-sweep engine.
-        strip_cell_cost, striped_column_overhead:
-            Cost-model knobs for the ``"auto"`` split threshold
-            (``engine="hetero"`` only): the relative cost of one
-            strip-engine cell versus a striped bulk cell, and the fixed
-            per-column striped overhead.  ``None`` keeps the measured
-            defaults (:data:`~repro.app.threshold.STRIP_CELL_COST`,
-            :data:`~repro.app.threshold.STRIPED_COLUMN_OVERHEAD`); a
-            machine whose measured ratio differs can recalibrate the
-            split without editing the module constants.
         """
         if collect not in COLLECT_MODES:
             raise ValueError(
                 f"collect must be one of {COLLECT_MODES}, got {collect!r}"
             )
-        # Reset per-search accounting up front so a scalar/antidiagonal/
-        # simulate_kernels search never leaves a previous batched search's
-        # stats visible.
+        if isinstance(target, SearchPlan):
+            if options or config not in (None, target.config):
+                raise TypeError("a SearchPlan target carries its own config")
+            config, store, db = target.config, target.store, target.database
+        else:
+            config = config or SearchConfig(**options)
+            store = target if isinstance(target, DatabaseStore) else None
+            db = target if store is None else store.database
+        # Reset per-search accounting up front so a per-pair search never
+        # leaves a previous packed search's stats visible.
         self.last_engine_report = None
         self.last_run_report = None
-        # A pre-packed store searches through its memmapped Database
-        # view; the store handle rides along so the batched engines can
-        # reuse its geometry and ship group references to pool workers.
-        store: DatabaseStore | None = None
-        if isinstance(db, DatabaseStore):
-            store = db
-            db = store.database
         if not db.has_residues:
             raise ValueError("functional search needs a materialized database")
         if query.alphabet != db.alphabet:
             raise ValueError("query and database alphabets differ")
-        if engine not in SEARCH_ENGINES:
+        if not config.packs and (checkpoint is not None or resume):
             raise ValueError(
-                f"engine must be one of {SEARCH_ENGINES}, got {engine!r}"
+                "checkpoint/resume apply to the batched/striped/hetero "
+                f"engines only (got engine={config.engine!r})"
             )
-        batched_only = {
-            "fault_policy": fault_policy,
-            "checkpoint": checkpoint,
-            "memory_budget": memory_budget,
-        }
-        for name, value in batched_only.items():
-            if value is not None and (
-                engine not in ("batched", "striped", "hetero")
-                or simulate_kernels
-            ):
-                raise ValueError(
-                    f"{name} applies to the batched/striped/hetero "
-                    f"engines only (got engine={engine!r}, "
-                    f"simulate_kernels={simulate_kernels})"
-                )
-        if split_threshold is not None and (
-            engine != "hetero" or simulate_kernels
-        ):
-            raise ValueError(
-                "split_threshold applies to engine='hetero' only "
-                f"(got engine={engine!r}, "
-                f"simulate_kernels={simulate_kernels})"
-            )
-        for name, value in (
-            ("strip_cell_cost", strip_cell_cost),
-            ("striped_column_overhead", striped_column_overhead),
-        ):
-            if value is not None and (
-                engine != "hetero" or simulate_kernels
-            ):
-                raise ValueError(
-                    f"{name} applies to engine='hetero' only "
-                    f"(got engine={engine!r}, "
-                    f"simulate_kernels={simulate_kernels})"
-                )
-        if resume and checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint path")
 
         if collect == "off" or obs_current().enabled:
             return self._search_traced(
-                query, db, engine, workers, group_size, fault_policy,
-                checkpoint, resume, memory_budget, simulate_kernels,
-                split_threshold, strip_cell_cost, striped_column_overhead,
-                store,
+                query, db, target, config, checkpoint, resume
             )
         with obs_collect(collect, memory=memory_phases) as instr:
             result, report = self._search_traced(
-                query, db, engine, workers, group_size, fault_policy,
-                checkpoint, resume, memory_budget, simulate_kernels,
-                split_threshold, strip_cell_cost, striped_column_overhead,
-                store,
+                query, db, target, config, checkpoint, resume
             )
         meta = {
             "query_id": query.id,
             "query_length": len(query),
             "database_sequences": len(db),
             "database_residues": db.total_residues,
-            "engine": "simulate_kernels" if simulate_kernels else engine,
-            "workers": workers,
+            "engine": config.engine,
+            "workers": config.workers,
             "device": self.device.name,
         }
         if store is not None:
@@ -506,18 +408,10 @@ class CudaSW:
         self,
         query: Sequence,
         db: Database,
-        engine: str,
-        workers: int,
-        group_size: int | None,
-        fault_policy: FaultPolicy | None,
+        target: Database | DatabaseStore | SearchPlan,
+        config: SearchConfig,
         checkpoint: str | os.PathLike | None,
         resume: bool,
-        memory_budget: MemoryBudget | None,
-        simulate_kernels: bool,
-        split_threshold: int | str | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
-        store: DatabaseStore | None = None,
     ) -> tuple[SearchResult, SearchReport]:
         """The search pipeline, phases wrapped in ambient-tracer spans."""
         instr = obs_current()
@@ -530,8 +424,8 @@ class CudaSW:
             with instr.span("query_encode"):
                 q_codes = as_codes(query, self.matrix)
 
-            if simulate_kernels:
-                with instr.span("simulate_kernels"):
+            if config.engine == "simulate":
+                with instr.span("simulate"):
                     scores = np.zeros(len(db), dtype=np.int64)
                     for i in range(len(db)):
                         d_codes = db.codes_of(i)
@@ -543,46 +437,15 @@ class CudaSW:
                         scores[i] = kernel.run_pair(
                             q_codes, d_codes, self.matrix, self.gaps
                         ).score
-            elif engine in ("batched", "striped", "hetero"):
-                lane_engine = {
-                    "batched": "gotoh",
-                    "striped": "striped",
-                    "hetero": "hetero",
-                }[engine]
-                batched = BatchedEngine(
-                    self.matrix,
-                    self.gaps,
-                    workers=workers,
-                    fault_policy=fault_policy,
-                    memory_budget=memory_budget,
-                    lane_engine=lane_engine,
-                    split_threshold=(
-                        split_threshold if engine == "hetero" else None
-                    ),
-                    strip_cell_cost=(
-                        strip_cell_cost if engine == "hetero" else None
-                    ),
-                    striped_column_overhead=(
-                        striped_column_overhead
-                        if engine == "hetero"
-                        else None
-                    ),
-                    **(
-                        {}
-                        if group_size is None
-                        else {"group_size": group_size}
-                    ),
-                )
-                scores, self.last_engine_report = batched.search(
-                    q_codes,
-                    store if store is not None else db,
-                    checkpoint=checkpoint,
-                    resume=resume,
+            elif config.packs:
+                engine = BatchedEngine(self.matrix, self.gaps, config)
+                scores, self.last_engine_report = engine.search(
+                    q_codes, target, checkpoint=checkpoint, resume=resume
                 )
             else:
                 score_pair = (
                     sw_score_scalar
-                    if engine == "scalar"
+                    if config.engine == "scalar"
                     else sw_score_antidiagonal
                 )
                 with instr.span("pair_loop"):

@@ -151,14 +151,12 @@ def optimal_threshold(
     return max(points, key=lambda p: p.gcups)
 
 
+#: Most candidate thresholds the split tuner evaluates.
+_MAX_SPLIT_CANDIDATES = 64
+
+
 def tune_split_threshold(
-    lengths: np.ndarray | DatabaseStore,
-    *,
-    group_size: int,
-    strip_width: int = DEFAULT_STRIP_WIDTH,
-    max_candidates: int = 64,
-    strip_cell_cost: float = STRIP_CELL_COST,
-    column_overhead: float = STRIPED_COLUMN_OVERHEAD,
+    lengths: np.ndarray | DatabaseStore, *, group_size: int
 ) -> int:
     """Pick the heterogeneous-dispatch length threshold for a database.
 
@@ -166,11 +164,11 @@ def tune_split_threshold(
     for each candidate split: sequences at or under the threshold pack
     into bulk groups via the same :func:`~repro.engine.pack.plan_chunks`
     geometry the packer uses (including the tail-degeneracy gap split),
-    each group costing ``max_len x (lanes + column_overhead)`` — its
-    padded rectangle plus the striped sweep's fixed per-column
+    each group costing ``max_len x (lanes + STRIPED_COLUMN_OVERHEAD)``
+    — its padded rectangle plus the striped sweep's fixed per-column
     iteration cost, which is what sinks sparse long-tail groups; longer
-    sequences cost ``strip_cell_cost`` per strip-swept cell
-    (``ceil(len / strip_width) * strip_width`` each).  The candidate set
+    sequences cost :data:`STRIP_CELL_COST` per strip-swept cell
+    (``ceil(len / W) * W`` each, ``W`` the strip width).  The candidate set
     is the deduplicated sequence lengths plus 0 (all-strips) — every
     distinct partition, nothing between two identical ones — and the
     cheapest modeled split wins, preferring the larger threshold on
@@ -190,7 +188,9 @@ def tune_split_threshold(
         return 0
     sorted_lengths = np.sort(lengths)
     distinct = np.unique(sorted_lengths)
-    candidates = [0, *(int(t) for t in _downsample(distinct, max_candidates))]
+    candidates = [
+        0, *(int(t) for t in _downsample(distinct, _MAX_SPLIT_CANDIDATES))
+    ]
     best_t = 0
     best_cost: float | None = None
     for t in candidates:
@@ -198,15 +198,16 @@ def tune_split_threshold(
         bulk = sorted_lengths[:n_bulk]
         tail = sorted_lengths[n_bulk:]
         cost = 0.0
-        # tail_floor=0.0 mirrors pack_database_hetero's bulk side: the
+        # tail_floor=0.0 mirrors the hetero plan's bulk side: the
         # striped bulk groups are never gap-split.
         for start, end in plan_chunks(bulk, group_size, tail_floor=0.0).ranges:
             cost += float(int(bulk[end - 1])) * (
-                (end - start) + column_overhead
+                (end - start) + STRIPED_COLUMN_OVERHEAD
             )
         if tail.size:
-            strip_lanes = (tail + strip_width - 1) // strip_width
-            cost += float(strip_lanes.sum()) * strip_width * strip_cell_cost
+            width = DEFAULT_STRIP_WIDTH
+            strip_lanes = (tail + width - 1) // width
+            cost += float(strip_lanes.sum()) * width * STRIP_CELL_COST
         if best_cost is None or cost < best_cost or (
             cost == best_cost and t > best_t
         ):

@@ -27,6 +27,7 @@ import numpy as np
 from repro.alphabet import BLOSUM62, GapPenalty, load_ncbi_matrix
 from repro.app import CudaSW
 from repro.cuda.device import DEVICES
+from repro.engine import DEFAULT_GROUP_SIZE, SearchConfig
 from repro.sequence import read_fasta_file
 from repro.sequence.database import Database
 from repro.sequence.synthetic import PAPER_DATABASES
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--db", metavar="PATH", default=None,
         help="search a pre-packed .rdb database store (repro db build) "
         "instead of re-reading/re-packing the FASTA: residues are "
-        "memory-mapped, the stored group geometry is reused, and pool "
+        "memory-mapped, groups are planned from the stored index, and pool "
         "workers receive group references instead of pickled arrays; "
         "scores are bit-identical to the FASTA path.  A store that "
         "fails validation exits with code 4 (see repro db verify)",
@@ -153,32 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
         "database's packed-group geometry)",
     )
     p_search.add_argument(
-        "--strip-cell-cost", type=float, default=None, metavar="C",
-        help="hetero engine only: relative cost of one strip-engine "
-        "cell vs a striped bulk cell in the 'auto' split cost model "
-        "(default: the measured constant; recalibrate per machine)",
-    )
-    p_search.add_argument(
-        "--striped-col-overhead", type=float, default=None, metavar="C",
-        help="hetero engine only: fixed per-column overhead charged to "
-        "striped bulk groups in the 'auto' split cost model (default: "
-        "the measured constant)",
-    )
-    p_search.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the batched/striped engines' group "
-        "fan-out (1 = serial)",
+        help="worker processes for the packing engines' group fan-out "
+        "(batched, striped, hetero; 1 = serial)",
     )
     p_search.add_argument(
-        "--group-size", type=int, default=None, metavar="N",
-        help="lanes per packed group (default: the engine's tuned "
-        "default; batched/striped engines only)",
+        "--group-size", type=int, default=DEFAULT_GROUP_SIZE,
+        metavar="N",
+        help="lanes per packed group (packing engines only; default: "
+        "%(default)s)",
     )
     p_search.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="crash-safe write-ahead journal: append each completed "
         "group's scores to PATH (fsync'd, CRC-checked) so a killed "
-        "search can be resumed with --resume (batched engine only)",
+        "search can be resumed with --resume (packing engines only)",
     )
     p_search.add_argument(
         "--resume", action="store_true",
@@ -191,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget-mb", type=float, default=None, metavar="MB",
         help="cap any single group's estimated sweep working set at MB "
         "mebibytes; oversized groups are split at packing time instead "
-        "of OOM-killing the process (batched engine only)",
+        "of OOM-killing the process (packing engines only)",
     )
     p_search.add_argument(
         "--scores-out", metavar="PATH", default=None,
@@ -201,17 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="abandon and retry any dispatched work unit running longer "
-        "than this (batched engine with --workers > 1; default: never)",
+        "than this (packing engines with --workers > 1; default: never)",
     )
     p_search.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="pool retries per failed/timed-out work unit before it is "
-        "recomputed serially (batched engine; default: 2)",
+        "recomputed serially (packing engines; default: 2)",
     )
     p_search.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="whole-search wall-clock budget; on expiry the search "
-        "aborts with the partial completion summary (batched engine; "
+        "aborts with the partial completion summary (packing engines; "
         "default: none)",
     )
     p_search.add_argument(
@@ -290,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_build.add_argument(
         "--group-size", type=int, default=None, metavar="N",
         help="lanes per packed group persisted in the geometry tables "
-        "(default: the engine's tuned default); searches with a "
-        "different --group-size re-plan from the index",
+        "that db verify --deep checks (default: the engine's tuned "
+        "default); searches plan from the index at any --group-size",
     )
     p_db_build.add_argument(
         "--comment", default="", metavar="TEXT",
@@ -410,28 +400,37 @@ def _cmd_search(args, out: IO[str]) -> int:
             file=out,
         )
         return 2
-    matrix, gaps = _scoring(args)
-    query = _first_record(args.query)
-    db_label = args.db if args.db is not None else args.database
-    app = CudaSW(
-        DEVICES[args.device],
-        intra_kernel=args.kernel,
-        threshold=args.threshold,
-        matrix=matrix,
-        gaps=gaps,
-    )
+    # Every usage error surfaces here, before any work starts.
     try:
-        fault_policy = _fault_policy(args)
-        memory_budget = (
-            None
-            if args.memory_budget_mb is None
-            else MemoryBudget.from_megabytes(args.memory_budget_mb)
-        )
+        if args.top <= 0:
+            raise ValueError(f"--top must be positive, got {args.top}")
         if args.resume and args.checkpoint is None:
             raise ValueError("--resume requires --checkpoint PATH")
-    except ValueError as exc:
+        matrix, gaps = _scoring(args)
+        query = _first_record(args.query)
+        app = CudaSW(
+            DEVICES[args.device],
+            intra_kernel=args.kernel,
+            threshold=args.threshold,
+            matrix=matrix,
+            gaps=gaps,
+        )
+        config = SearchConfig(
+            engine=args.engine,
+            workers=args.workers,
+            group_size=args.group_size,
+            split_threshold=args.split_threshold,
+            fault_policy=_fault_policy(args),
+            memory_budget=(
+                None
+                if args.memory_budget_mb is None
+                else MemoryBudget.from_megabytes(args.memory_budget_mb)
+            ),
+        )
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
+    db_label = args.db if args.db is not None else args.database
     # --profile/--metrics-out/--trace-out/--mem-phases own the
     # collection session at CLI level so the E-value ranking phase is
     # traced alongside the search itself.
@@ -477,13 +476,8 @@ def _cmd_search(args, out: IO[str]) -> int:
             )
         try:
             result, report = app.search(
-                query, search_db, engine=args.engine, workers=args.workers,
-                group_size=args.group_size, fault_policy=fault_policy,
+                query, search_db, config,
                 checkpoint=args.checkpoint, resume=args.resume,
-                memory_budget=memory_budget,
-                split_threshold=args.split_threshold,
-                strip_cell_cost=args.strip_cell_cost,
-                striped_column_overhead=args.striped_col_overhead,
             )
         except SearchDeadlineExceeded as exc:
             done = (

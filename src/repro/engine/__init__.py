@@ -6,7 +6,10 @@ length-sorted database is packed into ``(group_size, max_len)`` code
 matrices (:mod:`~repro.engine.pack`), and a single vectorized step per
 query row advances the H/E/F recurrences for every lane of a group at
 once (:mod:`~repro.engine.lanes`).  Groups can optionally fan out across
-worker processes (:mod:`~repro.engine.executor`).
+worker processes (:mod:`~repro.engine.executor`).  A
+:class:`~repro.engine.plan.SearchConfig` holds the search options and a
+:class:`~repro.engine.plan.SearchPlan` the query-independent group
+layout (:mod:`~repro.engine.plan`).
 
 :class:`BatchedEngine` is the turnkey front end used by
 :meth:`repro.app.cudasw.CudaSW.search` (the default functional backend)
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -54,14 +57,15 @@ from repro.engine.faults import (
     SearchDeadlineExceeded,
 )
 from repro.engine.lanes import padded_lane_profile, score_packed_group
-from repro.engine.pack import (
-    DEFAULT_STRIP_WIDTH,
-    TAIL_EFFICIENCY_FLOOR,
-    PackedGroup,
-    _record_pack_counters,
+from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup, pack_group
+from repro.engine.plan import (
+    DEFAULT_GROUP_SIZE,
+    SEARCH_ENGINES,
+    SearchConfig,
+    SearchPlan,
     pack_database,
     pack_database_hetero,
-    pack_group,
+    plan_search,
 )
 from repro.engine.striped import (
     LANE_ENGINES,
@@ -69,7 +73,7 @@ from repro.engine.striped import (
     score_packed_group_striped,
 )
 from repro.engine.strips import score_packed_group_strips
-from repro.obs import AnyInstrumentation, current as obs_current
+from repro.obs import current as obs_current
 from repro.sequence.database import Database
 from repro.sequence.profile import QueryProfile
 from repro.sequence.striped_profile import StripedProfile
@@ -86,7 +90,9 @@ __all__ = [
     "InjectionPlan",
     "MemoryBudget",
     "PackedGroup",
+    "SearchConfig",
     "SearchDeadlineExceeded",
+    "SearchPlan",
     "StoreGroupRef",
     "StripedProfile",
     "atomic_write_text",
@@ -99,6 +105,7 @@ __all__ = [
     "pack_database_hetero",
     "pack_group",
     "padded_lane_profile",
+    "plan_search",
     "run_groups",
     "score_packed_group",
     "score_packed_group_striped",
@@ -110,14 +117,8 @@ __all__ = [
     "DEFAULT_POLICY",
     "DEFAULT_STRIP_WIDTH",
     "LANE_ENGINES",
+    "SEARCH_ENGINES",
 ]
-
-#: Default lanes per group.  Large enough that vectorized work dwarfs the
-#: per-row interpreter overhead, small enough that a length-sorted
-#: group's padded rectangle stays tight on log-normal (Swiss-Prot-shaped)
-#: length distributions, whose heavy tail dominates a too-wide last
-#: group — and several groups exist to fan out across workers.
-DEFAULT_GROUP_SIZE = 128
 
 #: Smallest search (query length x padded database cells) worth fanning
 #: out to worker processes.  Below this, pool spin-up plus per-chunk
@@ -127,7 +128,8 @@ DEFAULT_GROUP_SIZE = 128
 #: this line.  Searches smaller than the threshold are demoted to the
 #: serial path (counted as ``engine.executor.fanout_demotions``); an
 #: explicit non-default fault policy suppresses the demotion, since
-#: fault-injection and timeout semantics need the pool.
+#: fault-injection and timeout semantics need the pool.  ``0`` disables
+#: the demotion.
 DEFAULT_FANOUT_MIN_CELLS = 256 * 1024 * 1024
 
 #: Fan-out floor for *store-backed* searches.  With a pre-packed
@@ -136,8 +138,7 @@ DEFAULT_FANOUT_MIN_CELLS = 256 * 1024 * 1024
 #: :class:`~repro.engine.dbstore.StoreGroupRef` index vectors and each
 #: worker packs from its own memmap), so fanning out pays for itself on
 #: much smaller searches than the FASTA path's
-#: :data:`DEFAULT_FANOUT_MIN_CELLS`.  Applied only when the caller left
-#: ``fanout_min_cells`` at its default.
+#: :data:`DEFAULT_FANOUT_MIN_CELLS`.
 DEFAULT_DB_FANOUT_MIN_CELLS = 32 * 1024 * 1024
 
 
@@ -160,9 +161,9 @@ class EngineReport:
     group_efficiencies: tuple[float, ...]
     residues: int
     padded_cells: int
-    lane_engine: str = "gotoh"
-    #: Resolved per-group engine assignment (one entry per group).
-    #: Empty for homogeneous searches from older call sites.
+    #: The search engine (:attr:`SearchConfig.engine`).
+    lane_engine: str = "batched"
+    #: The kernel stamped on each group (one entry per group).
     lane_engines: tuple[str, ...] = ()
     #: The length threshold a heterogeneous search dispatched on
     #: (``None`` for single-engine searches).
@@ -187,143 +188,32 @@ class EngineReport:
 class BatchedEngine:
     """Score whole database groups per NumPy sweep.
 
-    Parameters
-    ----------
-    matrix, gaps:
-        The scoring model, shared by every search through this engine.
-    group_size:
-        Lanes per packed group (the inter-task kernel's ``s``).
-    workers:
-        Worker processes to fan groups out across; 1 (default) runs
-        serially and never touches multiprocessing.
-    fault_policy:
-        :class:`~repro.engine.faults.FaultPolicy` governing per-task
-        timeout, retries with backoff, the whole-search deadline and
-        fault injection (default: :data:`~repro.engine.faults.
-        DEFAULT_POLICY` — no timeout, no deadline, pool failures
-        recovered serially).
-    memory_budget:
-        Optional :class:`~repro.engine.budget.MemoryBudget`; oversized
-        groups are split at packing time so a single sweep can never
-        allocate past the budget (OOM guard, scores unchanged).
-    lane_engine:
-        Per-group score kernel: ``"gotoh"`` (default, the row-parallel
-        sweep of :mod:`~repro.engine.lanes`), ``"striped"`` (the
-        Farrar engine of :mod:`~repro.engine.striped`), ``"strips"``
-        (the long-tail strip sweep of :mod:`~repro.engine.strips`) or
-        ``"hetero"`` — the paper's length-threshold split: sequences at
-        or under the split threshold pack into striped bulk groups,
-        longer ones into strip groups, mixed in one search.  Scores are
-        bit-identical; only throughput differs.
-    split_threshold:
-        Heterogeneous dispatch threshold — ``"auto"`` (default for
-        ``lane_engine="hetero"``; tuned per database by the
-        :func:`repro.app.threshold.tune_split_threshold` cost model
-        from the packed-group geometry) or a length ``>= 0``.  Only
-        valid with ``lane_engine="hetero"``.
-    strip_width:
-        Strip width for tail groups under heterogeneous dispatch or
-        ``lane_engine="strips"`` (``None`` =
-        :data:`~repro.engine.pack.DEFAULT_STRIP_WIDTH`).
-    strip_cell_cost, striped_column_overhead:
-        Cost-model knobs for the ``"auto"`` split threshold: the
-        relative cost of one strip-engine cell versus a striped bulk
-        cell, and the fixed per-column overhead charged to striped
-        groups (``None`` = the measured defaults
-        :data:`~repro.app.threshold.STRIP_CELL_COST` /
-        :data:`~repro.app.threshold.STRIPED_COLUMN_OVERHEAD`).  They
-        shift where the length split lands on a given machine; scores
-        are unaffected.
-    fanout_min_cells:
-        Smallest search (query length x padded cells) worth a worker
-        pool; smaller searches run serially even with ``workers > 1``
-        (``None`` uses :data:`DEFAULT_FANOUT_MIN_CELLS`, ``0`` disables
-        the demotion).  Ignored when a non-default ``fault_policy`` is
-        set — injected faults, timeouts and deadlines keep pool
-        semantics regardless of size.
+    ``matrix`` and ``gaps`` are the scoring model; the search options
+    come as a :class:`~repro.engine.plan.SearchConfig` or as its fields
+    (``BatchedEngine(matrix, gaps, engine="hetero", workers=2)``), and
+    must name a packing engine: ``"batched"`` (the row-parallel sweep
+    of :mod:`~repro.engine.lanes`), ``"striped"`` (the Farrar engine of
+    :mod:`~repro.engine.striped`) or ``"hetero"`` — the paper's
+    length-threshold split into striped bulk groups and strip-swept
+    tail groups (:mod:`~repro.engine.strips`).  Scores are
+    bit-identical; only throughput differs.
     """
 
     def __init__(
         self,
         matrix: SubstitutionMatrix,
         gaps: GapPenalty,
-        *,
-        group_size: int = DEFAULT_GROUP_SIZE,
-        workers: int = 1,
-        fault_policy: FaultPolicy | None = None,
-        memory_budget: MemoryBudget | None = None,
-        lane_engine: str = "gotoh",
-        fanout_min_cells: int | None = None,
-        split_threshold: int | str | None = None,
-        strip_width: int | None = None,
-        strip_cell_cost: float | None = None,
-        striped_column_overhead: float | None = None,
+        config: SearchConfig | None = None,
+        **options: Any,
     ) -> None:
-        if group_size <= 0:
-            raise ValueError(f"group size must be positive, got {group_size}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if lane_engine not in (*LANE_ENGINES, "hetero"):
-            raise ValueError(
-                f"lane_engine must be one of "
-                f"{(*LANE_ENGINES, 'hetero')}, got {lane_engine!r}"
-            )
-        if fanout_min_cells is not None and fanout_min_cells < 0:
-            raise ValueError(
-                f"fanout_min_cells must be >= 0, got {fanout_min_cells}"
-            )
-        if split_threshold is not None and lane_engine != "hetero":
-            raise ValueError(
-                "split_threshold is only valid with lane_engine='hetero'"
-            )
-        if lane_engine == "hetero" and split_threshold is None:
-            split_threshold = "auto"
-        if isinstance(split_threshold, str) and split_threshold != "auto":
-            raise ValueError(
-                f"split_threshold must be 'auto' or an integer >= 0, "
-                f"got {split_threshold!r}"
-            )
-        if isinstance(split_threshold, int) and split_threshold < 0:
-            raise ValueError(
-                f"split_threshold must be >= 0, got {split_threshold}"
-            )
-        if strip_width is not None and strip_width <= 0:
-            raise ValueError(
-                f"strip_width must be positive, got {strip_width}"
-            )
-        if strip_cell_cost is not None and strip_cell_cost <= 0:
-            raise ValueError(
-                f"strip_cell_cost must be positive, got {strip_cell_cost}"
-            )
-        if striped_column_overhead is not None and striped_column_overhead < 0:
-            raise ValueError(
-                f"striped_column_overhead must be >= 0, "
-                f"got {striped_column_overhead}"
-            )
         self.matrix = matrix
         self.gaps = gaps
-        self.group_size = group_size
-        self.workers = workers
-        self.fault_policy = fault_policy or DEFAULT_POLICY
-        self.memory_budget = memory_budget
-        self.lane_engine = lane_engine
-        self.split_threshold = split_threshold
-        self.strip_width = strip_width
-        self.strip_cell_cost = strip_cell_cost
-        self.striped_column_overhead = striped_column_overhead
-        self.fanout_min_cells = (
-            DEFAULT_FANOUT_MIN_CELLS
-            if fanout_min_cells is None
-            else fanout_min_cells
-        )
-        # Store-backed searches swap in the (lower) DB fan-out floor,
-        # but only when the caller didn't choose a floor explicitly.
-        self._fanout_default = fanout_min_cells is None
+        self.config = config or SearchConfig(**options)
 
     def search(
         self,
         query: Sequence | np.ndarray | str,
-        db: Database | DatabaseStore,
+        target: Database | DatabaseStore | SearchPlan,
         *,
         checkpoint: str | os.PathLike[str] | None = None,
         resume: bool = False,
@@ -334,16 +224,15 @@ class BatchedEngine:
         code array or a string.  Returns ``int64`` scores in the
         database's original order plus the packing report.
 
-        ``db`` may be an opened
-        :class:`~repro.engine.dbstore.DatabaseStore`: the search then
-        reads residues through the store's memmap, reuses the group
-        geometry persisted at ``repro db build`` time when it matches
-        this engine's ``group_size`` (re-planning — with the
-        ``engine.dbstore.geometry_replanned`` counter — when it
-        doesn't, or for heterogeneous dispatch, whose split depends on
-        the query-time threshold), ships group *references* to pool
-        workers instead of pickled lane matrices, and folds the store's
-        content fingerprint into the checkpoint
+        ``target`` is a database, an opened
+        :class:`~repro.engine.dbstore.DatabaseStore` or a
+        :class:`~repro.engine.plan.SearchPlan`.  A database is planned
+        with this engine's config; a plan brings its own config and is
+        reused as is (a campaign plans once and searches many queries).
+        A store-backed search reads residues through the store's
+        memmap, ships group *references* to pool workers instead of
+        pickled lane matrices, and folds the store's content
+        fingerprint into the checkpoint
         :func:`~repro.engine.checkpoint.search_fingerprint` so a
         journal refuses to resume against a rebuilt store.  Scores are
         bit-identical to the same database searched from FASTA.
@@ -370,11 +259,18 @@ class BatchedEngine:
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
-        store: DatabaseStore | None = None
-        if isinstance(db, DatabaseStore):
-            store = db
-            db = store.database
         instr = obs_current()
+        with instr.span("pack"):
+            plan = (
+                target
+                if isinstance(target, SearchPlan)
+                else plan_search(target, self.config)
+            )
+            groups = plan.groups
+            if instr.enabled:
+                plan.record(instr)
+        config = plan.config
+        db, store = plan.database, plan.store
         with instr.span("profile_build"):
             q_codes = as_codes(query, self.matrix)
             # Built once per search; the striped profile wraps the plain
@@ -383,69 +279,20 @@ class BatchedEngine:
             # plain profile — the executor builds the striped flavor
             # lazily iff bulk groups actually exist.
             profile: QueryProfile | StripedProfile
-            if self.lane_engine == "striped":
+            if config.engine == "striped":
                 profile = StripedProfile(q_codes, self.matrix)
             else:
                 profile = QueryProfile(q_codes, self.matrix)
-        threshold: int | None = None
-        with instr.span("pack"):
-            if self.lane_engine == "hetero":
-                threshold = self._resolve_threshold(db)
-                if store is not None:
-                    # The split depends on the query-time threshold, so
-                    # stored single-engine geometry cannot be reused —
-                    # but the re-plan reads only the index lengths
-                    # (already in memory), never the residue memmap.
-                    instr.count("engine.dbstore.geometry_replanned", 1)
-                groups = pack_database_hetero(
-                    db,
-                    self.group_size,
-                    threshold,
-                    budget=self.memory_budget,
-                    strip_width=self.strip_width,
-                )
-                if instr.enabled:
-                    self._count_dispatch(instr, groups, threshold)
-            elif store is not None and store.group_size == self.group_size:
-                # Reuse the geometry planned once at build time: the
-                # stored ranges are exactly what plan_chunks would
-                # produce (deep verification proves it), with the
-                # search-time memory budget applied on top.
-                plan = store.plan_for(
-                    "column" if self.lane_engine == "striped" else "row",
-                    budget=self.memory_budget,
-                )
-                groups = [
-                    pack_group(db, store.sort_order[start:end])
-                    for start, end in plan.ranges
-                ]
-                instr.count("engine.dbstore.geometry_reused", 1)
-                if instr.enabled:
-                    _record_pack_counters(instr, len(db), groups, plan)
-            else:
-                if store is not None:
-                    # group_size differs from the store's build-time
-                    # geometry: plan from the index lengths instead.
-                    instr.count("engine.dbstore.geometry_replanned", 1)
-                # The striped column sweep opts out of the gap split:
-                # its cost scales with column iterations, not padded
-                # cells (see pack_database).
-                groups = pack_database(
-                    db,
-                    self.group_size,
-                    budget=self.memory_budget,
-                    tail_floor=(
-                        0.0 if self.lane_engine == "striped"
-                        else TAIL_EFFICIENCY_FLOOR
-                    ),
-                )
-        workers = self.workers
-        fanout_floor = self.fanout_min_cells
-        if store is not None and self._fanout_default:
-            fanout_floor = DEFAULT_DB_FANOUT_MIN_CELLS
+        policy = config.fault_policy or DEFAULT_POLICY
+        workers = config.workers
+        fanout_floor = (
+            DEFAULT_FANOUT_MIN_CELLS
+            if store is None
+            else DEFAULT_DB_FANOUT_MIN_CELLS
+        )
         if (
             workers > 1
-            and self.fault_policy is DEFAULT_POLICY
+            and policy is DEFAULT_POLICY
             and fanout_floor
             and profile.length * sum(g.sweep_cells for g in groups)
             < fanout_floor
@@ -460,15 +307,13 @@ class BatchedEngine:
         on_scored: Callable[[int, np.ndarray], None] | None = None
         if checkpoint is not None:
             fingerprint = search_fingerprint(
-                q_codes, self.matrix, self.gaps, self.group_size, db,
+                q_codes, self.matrix, self.gaps, config.group_size, db,
                 budget_bytes=(
                     0
-                    if self.memory_budget is None
-                    else self.memory_budget.max_group_bytes
+                    if config.memory_budget is None
+                    else config.memory_budget.max_group_bytes
                 ),
-                engines=tuple(
-                    self._engine_token(g) for g in groups
-                ),
+                engines=tuple(_engine_token(g) for g in groups),
                 store_fingerprint=(
                     store.fingerprint if store is not None else ""
                 ),
@@ -498,16 +343,9 @@ class BatchedEngine:
                     groups,
                     self.gaps,
                     workers=workers,
-                    policy=self.fault_policy,
+                    policy=policy,
                     preloaded=preloaded or None,
                     on_group_scored=on_scored,
-                    # Heterogeneous groups carry their own assignment;
-                    # the default only covers unassigned groups.
-                    lane_engine=(
-                        "gotoh"
-                        if self.lane_engine == "hetero"
-                        else self.lane_engine
-                    ),
                     store=store,
                 )
             except SearchDeadlineExceeded as exc:
@@ -555,78 +393,22 @@ class BatchedEngine:
             for group, lane_scores in zip(groups, per_group):
                 scores[group.indices] = lane_scores
         report = EngineReport(
-            group_size=self.group_size,
-            workers=self.workers,
+            group_size=config.group_size,
+            workers=config.workers,
             group_sizes=tuple(g.size for g in groups),
             group_max_lengths=tuple(g.max_length for g in groups),
             group_efficiencies=tuple(g.sweep_efficiency for g in groups),
             residues=sum(g.residues for g in groups),
             padded_cells=sum(g.sweep_cells for g in groups),
-            lane_engine=self.lane_engine,
-            lane_engines=tuple(
-                g.lane_engine or self.lane_engine for g in groups
-            ),
-            split_threshold=threshold,
+            lane_engine=config.engine,
+            lane_engines=tuple(g.lane_engine for g in groups),
+            split_threshold=plan.split_threshold,
         )
         return scores, report
 
-    def _resolve_threshold(self, db: Database) -> int:
-        """Resolve the heterogeneous split threshold for one database."""
-        if self.split_threshold == "auto":
-            # Imported at call time: repro.app.threshold builds CudaSW
-            # apps for its sweep API, so a module-level import would be
-            # circular.
-            from repro.app.threshold import (
-                STRIP_CELL_COST,
-                STRIPED_COLUMN_OVERHEAD,
-                tune_split_threshold,
-            )
 
-            return tune_split_threshold(
-                db.lengths,
-                group_size=self.group_size,
-                strip_width=self.strip_width or DEFAULT_STRIP_WIDTH,
-                strip_cell_cost=(
-                    STRIP_CELL_COST
-                    if self.strip_cell_cost is None
-                    else self.strip_cell_cost
-                ),
-                column_overhead=(
-                    STRIPED_COLUMN_OVERHEAD
-                    if self.striped_column_overhead is None
-                    else self.striped_column_overhead
-                ),
-            )
-        assert isinstance(self.split_threshold, int)
-        return self.split_threshold
-
-    def _count_dispatch(
-        self,
-        instr: AnyInstrumentation,
-        groups: list[PackedGroup],
-        threshold: int,
-    ) -> None:
-        """Charge the ``engine.dispatch.*`` counters for one split."""
-        tail = [g for g in groups if g.lane_engine == "strips"]
-        bulk = [g for g in groups if g.lane_engine != "strips"]
-        instr.count("engine.dispatch.bulk_groups", len(bulk))
-        instr.count("engine.dispatch.tail_groups", len(tail))
-        instr.count(
-            "engine.dispatch.bulk_sequences", sum(g.size for g in bulk)
-        )
-        instr.count(
-            "engine.dispatch.tail_sequences", sum(g.size for g in tail)
-        )
-        instr.counters.record_max(
-            "engine.dispatch.split_threshold", threshold
-        )
-        if self.split_threshold == "auto":
-            instr.count("engine.dispatch.auto_tuned", 1)
-
-    def _engine_token(self, group: PackedGroup) -> str:
-        """Fingerprint token for one group's resolved engine."""
-        engine = group.lane_engine or self.lane_engine
-        if engine == "strips":
-            width = group.strip_width or DEFAULT_STRIP_WIDTH
-            return f"strips:{width}"
-        return engine
+def _engine_token(group: PackedGroup) -> str:
+    """Fingerprint token for one group's kernel."""
+    if group.lane_engine == "strips":
+        return f"strips:{DEFAULT_STRIP_WIDTH}"
+    return group.lane_engine

@@ -64,12 +64,9 @@ from typing import IO, Any
 import numpy as np
 
 from repro.alphabet import DNA, PROTEIN, Alphabet
-from repro.engine.budget import MemoryBudget
 from repro.engine.pack import (
     TAIL_EFFICIENCY_FLOOR,
-    ChunkPlan,
     PackedGroup,
-    apply_budget,
     pack_group,
     plan_chunks,
 )
@@ -200,7 +197,7 @@ class StoreGroupRef:
 
     This is what the executor ships to pool workers instead of the
     packed lane matrices themselves: ~a hundred ``int64`` indices plus
-    two small fields, independent of sequence length.  The worker
+    the group's kernel, independent of sequence length.  The worker
     rebuilds the identical :class:`~repro.engine.pack.PackedGroup` from
     its own memmapped store (:func:`~repro.engine.pack.pack_group` is
     deterministic, and the store fingerprint pins the content), which
@@ -208,19 +205,15 @@ class StoreGroupRef:
     """
 
     indices: np.ndarray
-    lane_engine: str | None = None
-    strip_width: int | None = None
+    lane_engine: str = "gotoh"
 
     @classmethod
     def of(cls, group: PackedGroup) -> "StoreGroupRef":
-        return cls(group.indices, group.lane_engine, group.strip_width)
+        return cls(group.indices, group.lane_engine)
 
     def materialize(self, store: "DatabaseStore") -> PackedGroup:
         return pack_group(
-            store.database,
-            self.indices,
-            lane_engine=self.lane_engine,
-            strip_width=self.strip_width,
+            store.database, self.indices, lane_engine=self.lane_engine
         )
 
 
@@ -231,8 +224,9 @@ class DatabaseStore:
     whose residue codes are a read-only ``np.memmap`` view of the file,
     so every engine works on it unchanged; ``lengths``/ids/offsets are
     small in-memory arrays loaded (and CRC-checked) from the index
-    sections, so lengths-only consumers — the hetero threshold tuner,
-    ``repro db info`` — never fault the residue blob in.
+    sections, so lengths-only consumers — search planning, the hetero
+    threshold tuner, ``repro db info`` — never fault the residue blob
+    in.
     """
 
     def __init__(
@@ -261,32 +255,6 @@ class DatabaseStore:
         """Per-sequence lengths from the store *index* (O(index) reads:
         the residue blob is never touched)."""
         return self.database.lengths
-
-    def plan_for(
-        self, kind: str, *, budget: MemoryBudget | None = None
-    ) -> ChunkPlan:
-        """The stored group geometry for one engine flavor.
-
-        ``kind`` is ``"row"`` (gotoh row sweep, tail gap split) or
-        ``"column"`` (striped column sweep, no gap split).  ``budget``
-        working-set splits apply on top of the stored ranges — the
-        identical operation :func:`~repro.engine.pack.plan_chunks`
-        performs, so the result is bit-equal to planning from scratch.
-        """
-        if kind not in self._plans:
-            raise ValueError(
-                f"plan kind must be one of {sorted(self._plans)}, "
-                f"got {kind!r}"
-            )
-        ranges, tail_splits = self._plans[kind]
-        budget_splits = budget_extra = 0
-        if budget is not None:
-            sorted_lengths = self.lengths[self.sort_order]
-            ranges, budget_splits, budget_extra = apply_budget(
-                ranges, sorted_lengths, budget
-            )
-        return ChunkPlan(list(ranges), tail_splits, budget_splits,
-                         budget_extra)
 
 
 # ----------------------------------------------------------------------
@@ -324,9 +292,10 @@ def build_store(
     The file is assembled in a temp file in the target directory,
     ``fsync``'d, then renamed over ``path`` (and the directory fsync'd),
     so a SIGKILL at any instant leaves either the old store or no store
-    — never a readable partial ``.rdb``.  Group geometry for both sweep
-    flavors is planned here, once, with :func:`plan_chunks`; searches
-    reuse it instead of re-sorting and re-planning per query.
+    — never a readable partial ``.rdb``.  The stable length sort is
+    persisted, so searches plan their groups from the index without
+    re-sorting; the group geometry for both sweep flavors is persisted
+    too, and deep verification re-derives it with :func:`plan_chunks`.
     """
     if group_size <= 0:
         raise ValueError(f"group size must be positive, got {group_size}")

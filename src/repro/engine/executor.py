@@ -77,31 +77,6 @@ __all__ = ["run_groups"]
 _WORKER_STATE: dict = {}
 
 
-def _profile_kind(engine: str) -> str:
-    """Profile flavor an engine sweeps with: the striped engine needs
-    the two-tier :class:`StripedProfile`; the row and strip sweeps share
-    one plain :class:`QueryProfile`."""
-    return "striped" if engine == "striped" else "base"
-
-
-def _profile_for(
-    cache: dict[str, QueryProfile | StripedProfile],
-    engine: str,
-    query_codes: np.ndarray,
-    matrix: SubstitutionMatrix,
-) -> QueryProfile | StripedProfile:
-    """Fetch (building lazily, at most once per flavor) the profile for
-    ``engine``.  Lazy construction is what lets a mixed-engine search
-    pay for exactly the profile flavors its groups actually use."""
-    kind = _profile_kind(engine)
-    if kind not in cache:
-        if kind == "striped":
-            cache[kind] = StripedProfile(query_codes, matrix)
-        else:
-            cache[kind] = QueryProfile(query_codes, matrix)
-    return cache[kind]
-
-
 def _seed_profile_cache(
     profile: QueryProfile | StripedProfile,
 ) -> dict[str, QueryProfile | StripedProfile]:
@@ -110,12 +85,41 @@ def _seed_profile_cache(
     return {kind: profile}
 
 
+def _score_group(
+    profiles: dict[str, QueryProfile | StripedProfile],
+    group: PackedGroup,
+    query_codes: np.ndarray,
+    matrix: SubstitutionMatrix,
+    gaps: GapPenalty,
+) -> np.ndarray:
+    """Score one group with the kernel stamped on it.
+
+    ``profiles`` caches one profile per flavor, built lazily: the
+    striped kernel sweeps the two-tier :class:`StripedProfile`, the row
+    and strip kernels share one plain :class:`QueryProfile`, so a
+    mixed-kernel search pays for exactly the flavors its groups use.
+    The kernels are looked up as module attributes at call time, so a
+    test (or the CI crash job) can wrap them in place.
+    """
+    if group.lane_engine == "striped":
+        if "striped" not in profiles:
+            profiles["striped"] = StripedProfile(query_codes, matrix)
+        return score_packed_group_striped(
+            cast(StripedProfile, profiles["striped"]), group, gaps
+        )
+    if "base" not in profiles:
+        profiles["base"] = QueryProfile(query_codes, matrix)
+    base = cast(QueryProfile, profiles["base"])
+    if group.lane_engine == "strips":
+        return score_packed_group_strips(base, group, gaps)
+    return score_packed_group(base, group, gaps)
+
+
 def _init_worker(
     query_codes: np.ndarray,
     matrix: SubstitutionMatrix,
     gaps: GapPenalty,
     inject: InjectionPlan | None,
-    lane_engine: str = "gotoh",
     collect_mode: str = "off",
     store_path: str | None = None,
     store_fingerprint: str | None = None,
@@ -123,7 +127,6 @@ def _init_worker(
     _WORKER_STATE["query_codes"] = query_codes
     _WORKER_STATE["matrix"] = matrix
     _WORKER_STATE["profiles"] = {}
-    _WORKER_STATE["lane_engine"] = lane_engine
     _WORKER_STATE["gaps"] = gaps
     _WORKER_STATE["inject"] = inject
     _WORKER_STATE["tasks_done"] = 0
@@ -180,7 +183,6 @@ def _score_chunk_groups(
     payload: list[tuple[int, PackedGroup | StoreGroupRef]],
 ) -> list[np.ndarray]:
     gaps = _WORKER_STATE["gaps"]
-    default_engine = _WORKER_STATE.get("lane_engine", "gotoh")
     inject: InjectionPlan | None = _WORKER_STATE.get("inject")
     store: DatabaseStore | None = _WORKER_STATE.get("store")
     instr = obs_current()
@@ -195,13 +197,6 @@ def _score_chunk_groups(
             group = shipped.materialize(store)
         else:
             group = shipped
-        engine = group.lane_engine or default_engine
-        profile = _profile_for(
-            _WORKER_STATE["profiles"],
-            engine,
-            _WORKER_STATE["query_codes"],
-            _WORKER_STATE["matrix"],
-        )
         garbage = False
         if inject is not None:
             garbage = inject.apply(group_index, _WORKER_STATE["tasks_done"])
@@ -209,22 +204,14 @@ def _score_chunk_groups(
         with instr.span("sweep"):
             if garbage:
                 out.append(np.zeros(0, dtype=np.int64))
-            elif engine == "striped":
-                out.append(
-                    score_packed_group_striped(
-                        cast(StripedProfile, profile), group, gaps
-                    )
-                )
-            elif engine == "strips":
-                out.append(
-                    score_packed_group_strips(
-                        cast(QueryProfile, profile), group, gaps
-                    )
-                )
             else:
                 out.append(
-                    score_packed_group(
-                        cast(QueryProfile, profile), group, gaps
+                    _score_group(
+                        _WORKER_STATE["profiles"],
+                        group,
+                        _WORKER_STATE["query_codes"],
+                        _WORKER_STATE["matrix"],
+                        gaps,
                     )
                 )
         if instr.enabled:
@@ -245,7 +232,6 @@ def run_groups(
     policy: FaultPolicy | None = None,
     preloaded: dict[int, np.ndarray] | None = None,
     on_group_scored: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
     store: DatabaseStore | None = None,
 ) -> list[np.ndarray]:
     """Score every group, serially or across ``workers`` processes.
@@ -264,14 +250,14 @@ def run_groups(
     checkpoint journal's append hook; preloaded groups do not re-fire
     it.
 
-    ``lane_engine`` is the *default* per-group score kernel:
-    ``"gotoh"`` (the row-parallel sweep), ``"striped"`` (the Farrar
-    engine) or ``"strips"`` (the long-tail strip sweep).  A group whose
-    :attr:`~repro.engine.pack.PackedGroup.lane_engine` is set overrides
-    the default — the engine is a per-group decision, which is how
-    heterogeneous dispatch mixes bulk and tail kernels in one search.
-    The profile flavor each kernel needs is built lazily from the
-    passed profile's query codes and matrix.  Scores are bit-identical
+    Each group is swept by the kernel stamped on it
+    (:attr:`~repro.engine.pack.PackedGroup.lane_engine`): ``"gotoh"``
+    (the row-parallel sweep), ``"striped"`` (the Farrar engine) or
+    ``"strips"`` (the long-tail strip sweep) — the engine is a
+    per-group decision, which is how heterogeneous dispatch mixes bulk
+    and tail kernels in one search.  The profile flavor each kernel
+    needs is built lazily from the passed profile's query codes and
+    matrix.  Scores are bit-identical
     on every engine, so checkpoints and fault handling stay
     engine-agnostic.
 
@@ -286,12 +272,8 @@ def run_groups(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if lane_engine not in LANE_ENGINES:
-        raise ValueError(
-            f"lane_engine must be one of {LANE_ENGINES}, got {lane_engine!r}"
-        )
     for g in groups:
-        if g.lane_engine is not None and g.lane_engine not in LANE_ENGINES:
+        if g.lane_engine not in LANE_ENGINES:
             raise ValueError(
                 f"group lane_engine must be one of {LANE_ENGINES}, "
                 f"got {g.lane_engine!r}"
@@ -307,12 +289,11 @@ def run_groups(
         _score_serial(
             profile, groups, gaps, instr, clock, results,
             span_name="sweep", indices=pending, sink=on_group_scored,
-            lane_engine=lane_engine,
         )
         return [results[i] for i in range(len(groups))]
     return _run_pool(
         profile, groups, gaps, workers, policy, instr, clock,
-        results, pending, on_group_scored, lane_engine, store,
+        results, pending, on_group_scored, store,
     )
 
 
@@ -326,7 +307,6 @@ def _score_serial(
     span_name: str,
     indices: list[int] | None = None,
     sink: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
 ) -> None:
     """Score ``indices`` (default: all unscored) into ``results``,
     checking the deadline between groups."""
@@ -337,24 +317,12 @@ def _score_serial(
             continue
         if clock.expired():
             _raise_deadline(instr, clock, results, len(groups))
-        engine = groups[i].lane_engine or lane_engine
-        group_profile = _profile_for(
-            profiles, engine, profile.query_codes, profile.matrix
-        )
         started = time.perf_counter()
         with instr.span(span_name):
-            if engine == "striped":
-                results[i] = score_packed_group_striped(
-                    cast(StripedProfile, group_profile), groups[i], gaps
-                )
-            elif engine == "strips":
-                results[i] = score_packed_group_strips(
-                    cast(QueryProfile, group_profile), groups[i], gaps
-                )
-            else:
-                results[i] = score_packed_group(
-                    cast(QueryProfile, group_profile), groups[i], gaps
-                )
+            results[i] = _score_group(
+                profiles, groups[i], profile.query_codes, profile.matrix,
+                gaps,
+            )
         if instr.enabled:
             instr.observe(
                 "engine.sweep.group_seconds", time.perf_counter() - started
@@ -434,7 +402,6 @@ def _run_pool(
     results: dict[int, np.ndarray],
     pending: list[int],
     sink: Callable[[int, np.ndarray], None] | None = None,
-    lane_engine: str = "gotoh",
     store: DatabaseStore | None = None,
 ) -> list[np.ndarray]:
     n = len(groups)
@@ -458,7 +425,7 @@ def _run_pool(
             initializer=_init_worker,
             initargs=(
                 profile.query_codes, profile.matrix, gaps, policy.inject,
-                lane_engine, instr.mode,
+                instr.mode,
                 str(store.path) if store is not None else None,
                 store.fingerprint if store is not None else None,
             ),
@@ -636,6 +603,5 @@ def _run_pool(
         _score_serial(
             profile, groups, gaps, instr, clock, results,
             span_name="serial_retry", indices=missing, sink=sink,
-            lane_engine=lane_engine,
         )
     return [results[i] for i in range(n)]

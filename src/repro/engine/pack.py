@@ -22,9 +22,9 @@ Two things the length sort alone cannot fix live here too:
   that last chunk at its largest length gaps whenever efficiency would
   fall under :data:`TAIL_EFFICIENCY_FLOOR`;
 * the **long tail itself** — past a length threshold no grouping packs
-  well, which is why :func:`pack_database_hetero` routes those
-  sequences to the strip-sweep engine (each :class:`PackedGroup`
-  carries its ``lane_engine``, making the engine a per-group decision).
+  well, which is why :func:`plan_groups` can route those sequences to
+  the strip-sweep engine (each :class:`PackedGroup` carries its
+  ``lane_engine``, making the engine a per-group decision).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.engine.budget import MemoryBudget
-from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.database import Database
 
 __all__ = [
@@ -43,22 +42,27 @@ __all__ = [
     "TAIL_EFFICIENCY_FLOOR",
     "ChunkPlan",
     "PackedGroup",
-    "apply_budget",
     "pack_group",
-    "pack_database",
-    "pack_database_hetero",
+    "pack_groups",
     "plan_chunks",
+    "plan_groups",
 ]
 
-#: Default strip width for groups swept by the strip engine (DP columns
-#: per strip lane).  Lives here rather than in
-#: :mod:`~repro.engine.strips` so packing and cost modelling can reason
-#: about strip geometry without importing the kernel.
+#: Strip width of groups swept by the strip engine (DP columns per
+#: strip lane).  Lives here rather than in :mod:`~repro.engine.strips`
+#: so packing and cost modelling can reason about strip geometry
+#: without importing the kernel.
 DEFAULT_STRIP_WIDTH = 512
 
 #: Below this packing efficiency the tail chunk is split at its largest
 #: length gaps instead of being packed as one degenerate rectangle.
 TAIL_EFFICIENCY_FLOOR = 0.5
+
+#: Gap-split floor per bulk kernel.  The row sweep's cost scales with
+#: padded cells, so its tail chunk is split; the striped column sweep's
+#: cost scales with column iterations, so a split there only trades
+#: padding for extra near-empty columns and it opts out.
+_TAIL_FLOORS = {"gotoh": TAIL_EFFICIENCY_FLOOR, "striped": 0.0}
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,16 @@ class PackedGroup:
         so a padded query profile can route it to an impossibly bad
         similarity score and padded cells can never win an alignment.
     lane_engine:
-        Optional per-group engine assignment (one of
-        :data:`~repro.engine.striped.LANE_ENGINES`); ``None`` defers to
-        the executor's search-wide default.  This is what makes the
-        engine a per-group decision for heterogeneous dispatch.
-    strip_width:
-        Strip width for groups assigned to the ``"strips"`` engine
-        (``None`` = :data:`DEFAULT_STRIP_WIDTH`); ignored elsewhere.
+        The kernel that sweeps this group (one of
+        :data:`~repro.engine.striped.LANE_ENGINES`).  This is what makes
+        the engine a per-group decision for heterogeneous dispatch.
     """
 
     indices: np.ndarray
     lengths: np.ndarray
     codes: np.ndarray
     pad_code: int
-    lane_engine: str | None = None
-    strip_width: int | None = None
+    lane_engine: str = "gotoh"
 
     def __post_init__(self) -> None:
         if self.codes.ndim != 2:
@@ -144,7 +143,7 @@ class PackedGroup:
         matter how ragged the group is.
         """
         if self.lane_engine == "strips":
-            w = self.strip_width or DEFAULT_STRIP_WIDTH
+            w = DEFAULT_STRIP_WIDTH
             counts = np.maximum(
                 (self.lengths.astype(np.int64) + w - 1) // w, 1
             )
@@ -161,16 +160,14 @@ def pack_group(
     db: Database,
     indices: np.ndarray,
     *,
-    lane_engine: str | None = None,
-    strip_width: int | None = None,
+    lane_engine: str = "gotoh",
 ) -> PackedGroup:
     """Pack the database sequences at ``indices`` into one lane matrix.
 
     ``indices`` refer to ``db``'s own ordering and are recorded verbatim
     in the result, so callers can pack a sorted permutation of an
     unsorted database and still scatter scores back trivially.
-    ``lane_engine``/``strip_width`` stamp a per-group engine assignment
-    for heterogeneous dispatch.
+    ``lane_engine`` stamps the kernel that sweeps the group.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1 or indices.size == 0:
@@ -184,9 +181,7 @@ def pack_group(
         row = db.codes_of(int(src))
         codes[lane, : row.size] = row
     codes.setflags(write=False)
-    return PackedGroup(
-        indices, lengths, codes, pad_code, lane_engine, strip_width
-    )
+    return PackedGroup(indices, lengths, codes, pad_code, lane_engine)
 
 
 class ChunkPlan(NamedTuple):
@@ -224,35 +219,6 @@ def _gap_split(
     )
 
 
-def apply_budget(
-    ranges: "list[tuple[int, int]]",
-    sorted_lengths: np.ndarray,
-    budget: MemoryBudget,
-) -> tuple[list[tuple[int, int]], int, int]:
-    """Split planned ranges so each fits the budget's working set.
-
-    The budget half of :func:`plan_chunks`, factored out so a
-    pre-planned geometry — the ranges a database store persisted at
-    build time — can have a *search-time* budget applied on top and
-    come out bit-identical to planning from scratch with that budget.
-    Returns ``(ranges, budget_splits, budget_extra_groups)``.
-    """
-    budget_splits = budget_extra = 0
-    split_ranges: list[tuple[int, int]] = []
-    for start, end in ranges:
-        ends = budget.split_points(
-            [int(x) for x in sorted_lengths[start:end]]
-        )
-        if len(ends) > 1:
-            budget_splits += 1
-            budget_extra += len(ends) - 1
-        prev = 0
-        for cut in ends:
-            split_ranges.append((start + prev, start + cut))
-            prev = cut
-    return split_ranges, budget_splits, budget_extra
-
-
 def plan_chunks(
     sorted_lengths: np.ndarray,
     group_size: int,
@@ -285,146 +251,82 @@ def plan_chunks(
         pieces = _gap_split(sorted_lengths, last[0], last[1], tail_floor)
         tail_splits = len(pieces) - 1
         ranges.extend(pieces)
+    if budget is None:
+        return ChunkPlan(ranges, tail_splits, 0, 0)
     budget_splits = budget_extra = 0
-    if budget is not None:
-        ranges, budget_splits, budget_extra = apply_budget(
-            ranges, sorted_lengths, budget
+    split_ranges: list[tuple[int, int]] = []
+    for start, end in ranges:
+        ends = budget.split_points(
+            [int(x) for x in sorted_lengths[start:end]]
         )
-    return ChunkPlan(ranges, tail_splits, budget_splits, budget_extra)
+        if len(ends) > 1:
+            budget_splits += 1
+            budget_extra += len(ends) - 1
+        prev = 0
+        for cut in ends:
+            split_ranges.append((start + prev, start + cut))
+            prev = cut
+    return ChunkPlan(split_ranges, tail_splits, budget_splits, budget_extra)
 
 
-def _record_pack_counters(
-    instr: AnyInstrumentation,
-    n_sequences: int,
-    groups: list[PackedGroup],
-    plan: ChunkPlan,
-) -> None:
-    """Charge the packing counters for one planned-and-packed database.
-
-    ``padded_cells`` counts cells the assigned engines will actually
-    sweep (``sweep_cells``) — identical to the padded rectangle for
-    batched groups, the bounded strip total for strip groups.
-    """
-    residues = sum(g.residues for g in groups)
-    swept = sum(g.sweep_cells for g in groups)
-    instr.count("engine.pack.groups", len(groups))
-    instr.count("engine.pack.sequences", n_sequences)
-    instr.count("engine.pack.residues", residues)
-    instr.count("engine.pack.padded_cells", swept)
-    instr.count("engine.pack.pad_waste_cells", swept - residues)
-    if plan.tail_splits:
-        instr.count("engine.pack.tail_splits", 1)
-        instr.count("engine.pack.tail_extra_groups", plan.tail_splits)
-    if plan.budget_splits:
-        instr.count("engine.budget.groups_split", plan.budget_splits)
-        instr.count("engine.budget.extra_groups", plan.budget_extra_groups)
-    for g in groups:
-        instr.observe("engine.pack.group_cells", float(g.sweep_cells))
-        instr.observe("engine.pack.group_efficiency", g.sweep_efficiency)
-
-
-def pack_database(
-    db: Database,
+def plan_groups(
+    sorted_lengths: np.ndarray,
     group_size: int,
     *,
+    bulk_kernel: str,
+    threshold: int | None = None,
     budget: MemoryBudget | None = None,
-    tail_floor: float = TAIL_EFFICIENCY_FLOOR,
-) -> list[PackedGroup]:
-    """Sort ``db`` by length and pack it into groups of ``group_size``.
+) -> tuple[ChunkPlan, tuple[str, ...]]:
+    """Plan groups over an ascending length array, one kernel per group.
 
-    Mirrors CUDASW++'s preprocessing pipeline
-    (:meth:`Database.sorted_by_length` then
-    :meth:`Database.partition_groups`): a stable ascending length sort
-    keeps each group's lengths nearly uniform, so the padded rectangles
-    stay tight.  The last group may be smaller.  Group ``indices`` refer
-    to the *original* (unsorted) database order.
-
-    ``budget`` (a :class:`~repro.engine.budget.MemoryBudget`) caps any
-    single group's estimated sweep working set: a chunk whose padded
-    rectangle would exceed it is split into narrower groups that each
-    fit, instead of letting the sweep's allocation OOM-kill the
-    process.  Splitting — by budget or by the tail-degeneracy floor —
-    only changes fan-out geometry, never scores.
-
-    ``tail_floor`` is the gap-split efficiency floor (see
-    :func:`plan_chunks`).  Row-sweep engines want the default — their
-    cost scales with padded cells — while column-sweep (striped)
-    callers pass ``0.0``: a gap split there trades padding for extra
-    near-empty column iterations, the overhead the split exists to
-    avoid.
+    The one packer behind every packing engine (CUDASW++'s dispatch
+    split, Section II): sequences of length ``<= threshold`` chunk into
+    ``bulk_kernel`` groups (inter-task side), longer ones into
+    ``"strips"`` groups for the strip-sweep engine (intra-task side),
+    where padding stays bounded per sequence instead of scaling with
+    group raggedness.  ``threshold=None`` puts everything in bulk
+    groups; ``threshold <= 0`` routes everything to strips.  The bulk
+    side takes the bulk kernel's gap-split floor (see
+    :func:`plan_chunks`); strip groups pack no rectangle, so their floor
+    is 0.  Returns the combined :class:`ChunkPlan` — ranges index the
+    sorted order — plus the kernel stamped on each range.  Geometry
+    only: no residues are read.
     """
-    db._require_residues()
-    order = np.argsort(db.lengths, kind="stable")
-    plan = plan_chunks(
-        db.lengths[order], group_size, budget=budget, tail_floor=tail_floor
+    sorted_lengths = np.asarray(sorted_lengths, dtype=np.int64)
+    n_bulk = (
+        int(sorted_lengths.size)
+        if threshold is None
+        else int(np.searchsorted(sorted_lengths, threshold, side="right"))
     )
-    groups = [
-        pack_group(db, order[start:end]) for start, end in plan.ranges
-    ]
-    instr = obs_current()
-    if instr.enabled:
-        _record_pack_counters(instr, len(db), groups, plan)
-    return groups
-
-
-def pack_database_hetero(
-    db: Database,
-    group_size: int,
-    threshold: int,
-    *,
-    budget: MemoryBudget | None = None,
-    bulk_engine: str = "striped",
-    strip_width: int | None = None,
-) -> list[PackedGroup]:
-    """Length-threshold heterogeneous packing (the paper's core split).
-
-    Sequences of length ``<= threshold`` pack into ``bulk_engine``
-    groups exactly as :func:`pack_database` would (inter-task side);
-    longer sequences pack into ``"strips"`` groups for the strip-sweep
-    engine (intra-task side), where padding stays bounded per sequence
-    instead of scaling with group raggedness.  Group ``indices`` refer
-    to the original database order, so mixed-engine scores scatter back
-    identically.  ``threshold <= 0`` routes everything to strips;
-    ``threshold >= max length`` routes everything to the bulk engine.
-    """
-    db._require_residues()
-    order = np.argsort(db.lengths, kind="stable")
-    sorted_lengths = db.lengths[order]
-    n_bulk = int(np.searchsorted(sorted_lengths, threshold, side="right"))
-    groups: list[PackedGroup] = []
-    # Bulk groups are striped-swept (column loop): a gap split would
-    # trade padded cells for extra column iterations, so keep them
-    # whole — the genuinely degenerate lengths are past the threshold
-    # and tiled into strips anyway.
-    bulk_plan = plan_chunks(
-        sorted_lengths[:n_bulk], group_size, budget=budget, tail_floor=0.0
+    bulk = plan_chunks(
+        sorted_lengths[:n_bulk], group_size, budget=budget,
+        tail_floor=_TAIL_FLOORS[bulk_kernel],
     )
-    for start, end in bulk_plan.ranges:
-        groups.append(
-            pack_group(db, order[start:end], lane_engine=bulk_engine)
-        )
-    tail_order = order[n_bulk:]
-    # Strip groups don't pack a rectangle, so the rectangle-efficiency
-    # tail floor would split them for no gain: disable it there.
-    tail_plan = plan_chunks(
+    tail = plan_chunks(
         sorted_lengths[n_bulk:], group_size, budget=budget, tail_floor=0.0
     )
-    for start, end in tail_plan.ranges:
-        groups.append(
-            pack_group(
-                db,
-                tail_order[start:end],
-                lane_engine="strips",
-                strip_width=strip_width,
-            )
-        )
     plan = ChunkPlan(
-        bulk_plan.ranges + tail_plan.ranges,
-        bulk_plan.tail_splits + tail_plan.tail_splits,
-        bulk_plan.budget_splits + tail_plan.budget_splits,
-        bulk_plan.budget_extra_groups + tail_plan.budget_extra_groups,
+        bulk.ranges + [(s + n_bulk, e + n_bulk) for s, e in tail.ranges],
+        bulk.tail_splits + tail.tail_splits,
+        bulk.budget_splits + tail.budget_splits,
+        bulk.budget_extra_groups + tail.budget_extra_groups,
     )
-    instr = obs_current()
-    if instr.enabled:
-        _record_pack_counters(instr, len(db), groups, plan)
-    return groups
+    kernels = (bulk_kernel,) * len(bulk.ranges) + ("strips",) * len(
+        tail.ranges
+    )
+    return plan, kernels
+
+
+def pack_groups(
+    db: Database,
+    order: np.ndarray,
+    plan: ChunkPlan,
+    kernels: tuple[str, ...],
+) -> list[PackedGroup]:
+    """Pack each planned range of the sorted ``order`` into a group
+    stamped with its kernel.  Group ``indices`` refer to ``db``'s own
+    (unsorted) order."""
+    return [
+        pack_group(db, order[start:end], lane_engine=kernel)
+        for (start, end), kernel in zip(plan.ranges, kernels)
+    ]

@@ -100,12 +100,13 @@ def score_packed_group_strips(
     group: PackedGroup,
     gaps: GapPenalty,
     *,
-    strip_width: int | None = None,
+    strip_width: int = DEFAULT_STRIP_WIDTH,
 ) -> np.ndarray:
     """Optimal local-alignment score of the query against every subject.
 
     Re-tiles each subject's true-length codes into ``strip_width``-wide
-    strip lanes and sweeps all strips per query row.  Returns an
+    strip lanes and sweeps all strips per query row (the width is a
+    test seam: searches always use :data:`DEFAULT_STRIP_WIDTH`).  Returns an
     ``int64`` array of ``group.size`` scores in lane order,
     bit-identical to :func:`~repro.engine.lanes.score_packed_group`.
     """
@@ -115,11 +116,7 @@ def score_packed_group_strips(
             f"pad code must be the alphabet-size sentinel "
             f"{profile.matrix.alphabet.size}, got {group.pad_code}"
         )
-    w = int(
-        strip_width
-        if strip_width is not None
-        else (group.strip_width or DEFAULT_STRIP_WIDTH)
-    )
+    w = int(strip_width)
     m = profile.length
     n = group.size
     lengths = group.lengths.astype(np.int64)

@@ -6,6 +6,7 @@ import pytest
 from repro.app import CudaSW, predict_batch, search_batch
 from repro.app.batch import BatchReport
 from repro.cuda import TESLA_C1060
+from repro.engine import build_store, open_database
 from repro.sequence import Database, SWISSPROT_PROFILE, Sequence, random_protein
 
 
@@ -90,3 +91,66 @@ class TestSearchBatch:
         )
         for a, b in zip(batched, wavefront):
             assert np.array_equal(a.scores, b.scores)
+
+
+class TestPlanReuse:
+    """A campaign plans the database once and every query reuses it."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        db = Database.from_sequences(
+            [Sequence.random(f"s{i}", int(n), rng)
+             for i, n in enumerate(rng.integers(20, 300, size=30))]
+            + [Sequence.random(f"long{i}", 1400, rng) for i in range(2)]
+        )
+        path = tmp_path_factory.mktemp("plan") / "db.rdb"
+        build_store(db, path, group_size=8)
+        queries = [random_protein(n, rng, id=f"q{n}") for n in (12, 25, 40)]
+        return {"fasta": db, "store": open_database(path), "queries": queries}
+
+    @pytest.mark.parametrize("source", ["fasta", "store"])
+    @pytest.mark.parametrize("engine", ["batched", "hetero"])
+    def test_planned_once_per_campaign(
+        self, campaign, engine, source, monkeypatch
+    ):
+        import repro.app.threshold
+        import repro.engine.plan
+
+        calls = {"tune": 0, "plan": 0, "pack": 0}
+
+        def spy(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(repro.app.threshold, "tune_split_threshold", "tune")
+        spy(repro.engine.plan, "plan_groups", "plan")
+        spy(repro.engine.plan, "pack_groups", "pack")
+        app = CudaSW(TESLA_C1060)
+        db, queries = campaign[source], campaign["queries"]
+        options = {"engine": engine, "group_size": 8}
+        results, _ = search_batch(
+            app, queries, db, collect="counters", **options
+        )
+        assert calls == {
+            "tune": 1 if engine == "hetero" else 0, "plan": 1, "pack": 1,
+        }
+        campaign_counters = app.last_run_report.counters
+
+        solo_pack: dict[str, int] = {}
+        for query, result in zip(queries, results):
+            solo, _ = app.search(query, db, collect="counters", **options)
+            assert np.array_equal(result.scores, solo.scores)
+            for name, value in app.last_run_report.counters.items():
+                if name.startswith("engine.pack."):
+                    solo_pack[name] = solo_pack.get(name, 0) + value
+        assert solo_pack
+        assert {
+            name: value for name, value in campaign_counters.items()
+            if name.startswith("engine.pack.")
+        } == solo_pack

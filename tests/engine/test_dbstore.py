@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.engine
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.engine import (
@@ -30,10 +31,12 @@ from repro.engine import (
     DatabaseFormatError,
     DatabaseStore,
     MemoryBudget,
+    SearchConfig,
     StoreGroupRef,
     build_store,
     build_store_from_fasta,
     open_database,
+    plan_search,
 )
 from repro.engine.dbstore import (
     COMMENT_BYTES,
@@ -119,14 +122,25 @@ def test_build_refuses_bad_inputs(db, tmp_path):
         build_store(lengths_only, tmp_path / "x.rdb")
 
 
-@pytest.mark.parametrize("lane", ["gotoh", "striped", "strips", "hetero"])
+#: Kernel mix -> search options: every kernel, alone and mixed.
+KERNEL_MIXES = {
+    "gotoh": {"engine": "batched"},
+    "striped": {"engine": "striped"},
+    "strips": {"engine": "hetero", "split_threshold": 0},
+    "hetero": {"engine": "hetero"},
+}
+
+
+@pytest.mark.parametrize("lane", sorted(KERNEL_MIXES))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_store_scores_bit_identical(
-    db, query, store, reference, lane, workers
+    db, query, store, reference, lane, workers, monkeypatch
 ):
+    monkeypatch.setattr(repro.engine, "DEFAULT_FANOUT_MIN_CELLS", 0)
+    monkeypatch.setattr(repro.engine, "DEFAULT_DB_FANOUT_MIN_CELLS", 0)
     engine = BatchedEngine(
-        BLOSUM62, GP, group_size=GROUP, lane_engine=lane,
-        workers=workers, fanout_min_cells=0,
+        BLOSUM62, GP, group_size=GROUP, workers=workers,
+        **KERNEL_MIXES[lane],
     )
     base, _ = engine.search(query, db)
     from_store, _ = engine.search(query, store)
@@ -137,10 +151,10 @@ def test_store_scores_bit_identical(
 def test_worker_materializes_group_refs(db, query, store):
     """The pool payload path, in process: a worker holding only the
     store path rebuilds identical groups from index references."""
-    from repro.engine.pack import pack_database
+    from repro.engine import pack_database
 
     groups = pack_database(db, GROUP)
-    _init_worker(query.codes, BLOSUM62, GP, None, "gotoh", "off",
+    _init_worker(query.codes, BLOSUM62, GP, None, "off",
                  str(store.path), store.fingerprint)
     by_value, _ = _score_chunk_task([(i, g) for i, g in enumerate(groups)])
     by_ref, _ = _score_chunk_task(
@@ -151,7 +165,7 @@ def test_worker_materializes_group_refs(db, query, store):
 
 def test_worker_refuses_fingerprint_skew(query, store):
     with pytest.raises(RuntimeError, match="changed while the search"):
-        _init_worker(query.codes, BLOSUM62, GP, None, "gotoh", "off",
+        _init_worker(query.codes, BLOSUM62, GP, None, "off",
                      str(store.path), "0" * 64)
 
 
@@ -407,28 +421,25 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Geometry reuse
+# Search planning
 # ----------------------------------------------------------------------
-def test_geometry_reuse_counters(db, query, store):
-    with obs.collect("counters") as instr:
-        BatchedEngine(BLOSUM62, GP, group_size=GROUP).search(query, store)
-    assert instr.counters.as_dict()["engine.dbstore.geometry_reused"] == 1
-
-    with obs.collect("counters") as instr:
-        BatchedEngine(BLOSUM62, GP, group_size=GROUP + 1).search(
-            query, store
+def test_store_plans_from_its_index(db, store):
+    """A store plans from its persisted sort order and index lengths:
+    the plan equals the FASTA plan and the persisted build-time
+    geometry, at any group size."""
+    for group_size in (GROUP, GROUP + 1):
+        for engine in ("batched", "striped", "hetero"):
+            config = SearchConfig(engine=engine, group_size=group_size)
+            from_store = plan_search(store, config)
+            from_fasta = plan_search(db, config)
+            assert from_store.chunks == from_fasta.chunks
+            assert from_store.kernels == from_fasta.kernels
+            assert np.array_equal(from_store.order, from_fasta.order)
+    for engine, kind in (("batched", "row"), ("striped", "column")):
+        plan = plan_search(store, SearchConfig(engine=engine, group_size=GROUP))
+        assert (plan.chunks.ranges, plan.chunks.tail_splits) == (
+            store._plans[kind]
         )
-    assert (
-        instr.counters.as_dict()["engine.dbstore.geometry_replanned"] == 1
-    )
-
-    with obs.collect("counters") as instr:
-        BatchedEngine(
-            BLOSUM62, GP, group_size=GROUP, lane_engine="hetero"
-        ).search(query, store)
-    assert (
-        instr.counters.as_dict()["engine.dbstore.geometry_replanned"] == 1
-    )
 
 
 def test_stored_plan_with_budget_matches_packing(db, query, store):
@@ -443,11 +454,6 @@ def test_stored_plan_with_budget_matches_packing(db, query, store):
     assert np.array_equal(base, from_store)
     assert base_report.n_groups == store_report.n_groups
     assert base_report.group_size == store_report.group_size
-
-
-def test_plan_for_validates_kind(store):
-    with pytest.raises(ValueError, match="plan kind"):
-        store.plan_for("diagonal")
 
 
 # ----------------------------------------------------------------------

@@ -270,7 +270,7 @@ class TestCudaSWIntegration:
             )
         with pytest.raises(ValueError, match="batched"):
             app.search(
-                query, db, simulate_kernels=True, fault_policy=FaultPolicy()
+                query, db, engine="simulate", fault_policy=FaultPolicy()
             )
 
     def test_search_batch_passthrough(self, db, query):

@@ -1,6 +1,6 @@
 """Heterogeneous length-threshold dispatch: the ISSUE 8 contract.
 
-``lane_engine="hetero"`` splits the packed database at a length
+``engine="hetero"`` splits the packed database at a length
 threshold — bulk groups go to the striped Farrar engine, the long tail
 to the strip-sweep engine — and must stay *bit-identical* to the scalar
 reference at every threshold, under a worker pool, and across a real
@@ -21,8 +21,21 @@ import pytest
 
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.engine import BatchedEngine, CheckpointError
-from repro.sequence import Database, Sequence, random_protein, write_fasta
+from repro.engine import (
+    BatchedEngine,
+    CheckpointError,
+    SearchConfig,
+    pack_database_hetero,
+    plan_search,
+    score_packed_group_strips,
+)
+from repro.sequence import (
+    Database,
+    QueryProfile,
+    Sequence,
+    random_protein,
+    write_fasta,
+)
 from repro.sw import sw_score_scalar
 
 GP = GapPenalty.cudasw_default()
@@ -68,7 +81,7 @@ class TestHeteroEquivalence:
         for t in self.thresholds(db):
             engine = BatchedEngine(
                 BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=t,
+                engine="hetero", split_threshold=t,
             )
             scores, report = engine.search(corpus["query"], db)
             assert np.array_equal(scores, corpus["reference"]), t
@@ -77,7 +90,7 @@ class TestHeteroEquivalence:
     def test_auto_threshold_bit_identical_and_mixed(self, corpus):
         engine = BatchedEngine(
             BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold="auto",
+            engine="hetero", split_threshold="auto",
         )
         scores, report = engine.search(corpus["query"], corpus["db"])
         assert np.array_equal(scores, corpus["reference"])
@@ -88,13 +101,17 @@ class TestHeteroEquivalence:
         assert report.split_threshold < int(lengths.max())
 
     def test_strip_width_variants_bit_identical(self, corpus):
+        """The strip kernel is exact at any width, not just the one
+        searches use."""
+        db = corpus["db"]
+        profile = QueryProfile(corpus["query"].codes, BLOSUM62)
+        groups = pack_database_hetero(db, 8, 0)
         for width in (64, 257, 4096):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=300,
-                strip_width=width,
-            )
-            scores, _ = engine.search(corpus["query"], corpus["db"])
+            scores = np.zeros(len(db), dtype=np.int64)
+            for g in groups:
+                scores[g.indices] = score_packed_group_strips(
+                    profile, g, GP, strip_width=width
+                )
             assert np.array_equal(scores, corpus["reference"]), width
 
 
@@ -109,7 +126,7 @@ class TestHeteroWorkerParity:
     def _run(self, corpus, workers):
         engine = BatchedEngine(
             BLOSUM62, GP, group_size=4,
-            lane_engine="hetero", split_threshold=300,
+            engine="hetero", split_threshold=300,
             workers=workers,
         )
         with obs.collect("counters") as instr:
@@ -138,32 +155,15 @@ class TestHeteroCheckpointIdentity:
         journal = tmp_path / "hetero.wal"
         engine_a = BatchedEngine(
             BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300,
+            engine="hetero", split_threshold=300,
         )
         engine_a.search(corpus["query"], corpus["db"], checkpoint=journal)
         engine_b = BatchedEngine(
             BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=1,
+            engine="hetero", split_threshold=1,
         )
         with pytest.raises(CheckpointError, match="different search"):
             engine_b.search(
-                corpus["query"], corpus["db"],
-                checkpoint=journal, resume=True,
-            )
-
-    def test_journal_refused_under_different_strip_width(
-        self, corpus, tmp_path
-    ):
-        journal = tmp_path / "width.wal"
-        BatchedEngine(
-            BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300, strip_width=512,
-        ).search(corpus["query"], corpus["db"], checkpoint=journal)
-        with pytest.raises(CheckpointError, match="different search"):
-            BatchedEngine(
-                BLOSUM62, GP, group_size=8,
-                lane_engine="hetero", split_threshold=300, strip_width=64,
-            ).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -172,7 +172,7 @@ class TestHeteroCheckpointIdentity:
         journal = tmp_path / "same.wal"
         make = lambda: BatchedEngine(  # noqa: E731
             BLOSUM62, GP, group_size=8,
-            lane_engine="hetero", split_threshold=300,
+            engine="hetero", split_threshold=300,
         )
         make().search(corpus["query"], corpus["db"], checkpoint=journal)
         with obs.collect("counters") as instr:
@@ -214,7 +214,7 @@ CHILD_SCRIPT = textwrap.dedent(
     query = read_fasta_file(query_path)[0]
     BatchedEngine(
         BLOSUM62, GapPenalty.cudasw_default(), group_size=4,
-        lane_engine="hetero", split_threshold=300,
+        engine="hetero", split_threshold=300,
     ).search(query, db, checkpoint=journal)
     """
 )
@@ -252,7 +252,7 @@ class TestHeteroSigkillResume:
 
         make = lambda: BatchedEngine(  # noqa: E731
             BLOSUM62, GP, group_size=4,
-            lane_engine="hetero", split_threshold=300,
+            engine="hetero", split_threshold=300,
         )
         with obs.collect("counters") as instr:
             scores, report = make().search(
@@ -270,70 +270,46 @@ class TestHeteroSigkillResume:
 
 
 class TestCostModelKnobs:
-    """The 'auto' split cost constants are parameters, not baked in."""
+    """The 'auto' split follows the cost-model constants."""
 
-    def test_strip_cell_cost_moves_the_threshold(self, corpus):
-        def resolved(**knobs):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
-            )
-            return engine._resolve_threshold(corpus["db"])
+    @staticmethod
+    def resolved(corpus, monkeypatch, **constants):
+        import repro.app.threshold as threshold
 
-        default = resolved()
+        for name, value in constants.items():
+            monkeypatch.setattr(threshold, name, value)
+        config = SearchConfig(engine="hetero", group_size=4)
+        return plan_search(corpus["db"], config).split_threshold
+
+    def test_strip_cell_cost_moves_the_threshold(self, corpus, monkeypatch):
+        default = self.resolved(corpus, monkeypatch)
         # Strips priced near-free: everything should route to the strip
         # engine (threshold collapses); priced exorbitantly: the split
         # point must move the other way from the cheap setting.
-        cheap = resolved(strip_cell_cost=0.01)
-        costly = resolved(strip_cell_cost=50.0)
+        cheap = self.resolved(corpus, monkeypatch, STRIP_CELL_COST=0.01)
+        costly = self.resolved(corpus, monkeypatch, STRIP_CELL_COST=50.0)
         assert cheap != costly
         assert default != cheap or default != costly
 
-    def test_column_overhead_moves_the_threshold(self, corpus):
-        def resolved(**knobs):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
-            )
-            return engine._resolve_threshold(corpus["db"])
-
+    def test_column_overhead_moves_the_threshold(self, corpus, monkeypatch):
+        default = self.resolved(corpus, monkeypatch)
         # A huge fixed per-column striped overhead makes striped bulk
         # groups unattractive relative to strips.
-        assert resolved(striped_column_overhead=1e6) != resolved()
+        assert self.resolved(
+            corpus, monkeypatch, STRIPED_COLUMN_OVERHEAD=1e6
+        ) != default
 
-    def test_scores_bit_identical_across_cost_settings(self, corpus):
-        for knobs in ({}, {"strip_cell_cost": 0.01},
-                      {"striped_column_overhead": 1e6}):
-            engine = BatchedEngine(
-                BLOSUM62, GP, group_size=4,
-                lane_engine="hetero", split_threshold="auto", **knobs,
-            )
-            scores, _ = engine.search(corpus["query"], corpus["db"])
+    def test_scores_bit_identical_across_cost_settings(
+        self, corpus, monkeypatch
+    ):
+        import repro.app.threshold as threshold
+
+        for constants in ({}, {"STRIP_CELL_COST": 0.01},
+                          {"STRIPED_COLUMN_OVERHEAD": 1e6}):
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(threshold, name, value)
+                scores, _ = BatchedEngine(
+                    BLOSUM62, GP, group_size=4, engine="hetero",
+                ).search(corpus["query"], corpus["db"])
             assert np.array_equal(scores, corpus["reference"])
-
-    def test_invalid_costs_rejected(self):
-        with pytest.raises(ValueError, match="strip_cell_cost"):
-            BatchedEngine(
-                BLOSUM62, GP, lane_engine="hetero", strip_cell_cost=0.0,
-            )
-        with pytest.raises(ValueError, match="striped_column_overhead"):
-            BatchedEngine(
-                BLOSUM62, GP, lane_engine="hetero",
-                striped_column_overhead=-1.0,
-            )
-
-    def test_search_api_threads_the_knobs(self, corpus):
-        from repro.app import CudaSW
-        from repro.cuda import TESLA_C2050
-
-        app = CudaSW(TESLA_C2050)
-        result, report = app.search(
-            corpus["query"], corpus["db"], engine="hetero",
-            strip_cell_cost=0.01,
-        )
-        assert np.array_equal(result.scores, corpus["reference"])
-        with pytest.raises(ValueError, match="strip_cell_cost"):
-            app.search(
-                corpus["query"], corpus["db"], engine="batched",
-                strip_cell_cost=2.0,
-            )

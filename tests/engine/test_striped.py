@@ -9,20 +9,22 @@ PR), plus the profile geometry, the executor/pool parity of the
 ``engine.striped.*`` counters, and the fan-out demotion gate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.engine
 from repro import obs
 from repro.alphabet import BLOSUM62, GapPenalty, build_blosum
 from repro.app import CudaSW
 from repro.engine import (
     BatchedEngine,
-    DEFAULT_FANOUT_MIN_CELLS,
     FaultPolicy,
     score_packed_group_striped,
 )
 from repro.engine.executor import run_groups
-from repro.engine.pack import pack_database, pack_group
+from repro.engine import pack_database, pack_group
 from repro.sequence import Database, Sequence, StripedProfile, random_protein
 from repro.sequence.profile import QueryProfile
 from repro.sw import sw_score_scalar
@@ -125,7 +127,7 @@ class TestStripedEquivalence:
     def test_matches_scalar_on_ragged_db(self, ragged_db, gaps):
         rng = np.random.default_rng(gaps.rho % 97)
         engine = BatchedEngine(
-            BLOSUM62, gaps, group_size=5, lane_engine="striped"
+            BLOSUM62, gaps, group_size=5, engine="striped"
         )
         for m in (1, 23, 130):
             query = random_protein(m, rng, id="q")
@@ -158,7 +160,7 @@ class TestStripedEquivalence:
         matrix = build_blosum(blocks, threshold=0.45, name="b45-style")
         gaps = GapPenalty.cudasw_default()
         engine = BatchedEngine(
-            matrix, gaps, group_size=4, lane_engine="striped"
+            matrix, gaps, group_size=4, engine="striped"
         )
         query = random_protein(37, rng, id="q")
         scores, _ = engine.search(query, ragged_db)
@@ -281,14 +283,16 @@ class TestSaturationBoundaries:
         query = random_protein(300, rng, id="q")
         db = _self_db(query, [50, 253, 260, 300, 2])
         engine = BatchedEngine(
-            matrix, gaps, group_size=3, lane_engine="striped"
+            matrix, gaps, group_size=3, engine="striped"
         )
         scores, _ = engine.search(query, db)
         assert np.array_equal(scores, _reference(query, db, matrix, gaps))
 
 
 class TestExecutorParity:
-    def test_pool_counters_match_serial(self, ragged_db):
+    def test_pool_counters_match_serial(self, ragged_db, monkeypatch):
+        # Force the pool despite the size.
+        monkeypatch.setattr(repro.engine, "DEFAULT_FANOUT_MIN_CELLS", 0)
         rng = np.random.default_rng(50)
         query = random_protein(60, rng, id="q")
         gaps = GapPenalty.cudasw_default()
@@ -299,8 +303,7 @@ class TestExecutorParity:
                 gaps,
                 group_size=4,
                 workers=workers,
-                lane_engine="striped",
-                fanout_min_cells=0,  # force the pool despite the size
+                engine="striped",
             )
             with obs.collect("counters") as instr:
                 scores, _ = engine.search(query, ragged_db)
@@ -327,21 +330,18 @@ class TestExecutorParity:
         assert serial["engine.striped.groups"] == 4
 
     def test_invalid_lane_engine_rejected(self, ragged_db):
-        with pytest.raises(ValueError, match="lane_engine"):
+        with pytest.raises(ValueError, match="engine"):
             BatchedEngine(
-                BLOSUM62, GapPenalty.cudasw_default(), lane_engine="simd"
+                BLOSUM62, GapPenalty.cudasw_default(), engine="simd"
             )
         rng = np.random.default_rng(51)
         query = random_protein(10, rng, id="q")
         profile = QueryProfile(query.codes, BLOSUM62)
         groups = pack_database(ragged_db, 4)
+        groups[0] = dataclasses.replace(groups[0], lane_engine="simd")
         with pytest.raises(ValueError, match="lane_engine"):
             run_groups(
-                profile,
-                groups,
-                GapPenalty.cudasw_default(),
-                workers=1,
-                lane_engine="simd",
+                profile, groups, GapPenalty.cudasw_default(), workers=1
             )
 
 
@@ -352,7 +352,6 @@ class TestFanoutDemotion:
         engine = BatchedEngine(
             BLOSUM62, GapPenalty.cudasw_default(), group_size=4, workers=2
         )
-        assert engine.fanout_min_cells == DEFAULT_FANOUT_MIN_CELLS
         with obs.collect("counters") as instr:
             _, report = engine.search(query, ragged_db)
         c = instr.counters.as_dict()
@@ -361,15 +360,12 @@ class TestFanoutDemotion:
         # The report records the *requested* configuration.
         assert report.workers == 2
 
-    def test_zero_threshold_disables_demotion(self, ragged_db):
+    def test_zero_threshold_disables_demotion(self, ragged_db, monkeypatch):
+        monkeypatch.setattr(repro.engine, "DEFAULT_FANOUT_MIN_CELLS", 0)
         rng = np.random.default_rng(61)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62,
-            GapPenalty.cudasw_default(),
-            group_size=4,
-            workers=2,
-            fanout_min_cells=0,
+            BLOSUM62, GapPenalty.cudasw_default(), group_size=4, workers=2
         )
         with obs.collect("counters") as instr:
             engine.search(query, ragged_db)
@@ -394,12 +390,6 @@ class TestFanoutDemotion:
         c = instr.counters.as_dict()
         assert "engine.executor.fanout_demotions" not in c
         assert c["engine.executor.worker_round_trips"] >= 1
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="fanout_min_cells"):
-            BatchedEngine(
-                BLOSUM62, GapPenalty.cudasw_default(), fanout_min_cells=-1
-            )
 
 
 class TestAppIntegration:

@@ -218,7 +218,7 @@ class TestWorkerLanes:
 class TestKernelCounters:
     def test_simulate_kernels_fills_kernel_namespace(self, query, db):
         app = CudaSW()
-        app.search(query, db, simulate_kernels=True, collect="counters")
+        app.search(query, db, engine="simulate", collect="counters")
         c = app.last_run_report.counters
         kernel_launches = {
             name: value

@@ -184,6 +184,33 @@ class TestSearchFaultFlags:
         assert code == 2
         assert "batched" in text
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--threshold", "0"], "threshold must be a positive integer"),
+            (["--threshold", "-5"], "threshold must be a positive integer"),
+            (["--top", "0"], "--top must be positive, got 0"),
+            (["--matrix", "/nonexistent"], "No such file or directory"),
+        ],
+        ids=["threshold-0", "threshold-negative", "top-0", "missing-matrix"],
+    )
+    def test_usage_errors_exit_2_before_any_work(
+        self, fasta_files, flags, message, monkeypatch
+    ):
+        from repro.app import CudaSW
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before validation")
+
+        monkeypatch.setattr(CudaSW, "search", no_search)
+        code, text = run_cli(
+            ["search", fasta_files["query"], fasta_files["db"], *flags]
+        )
+        assert code == 2
+        (line,) = text.splitlines()
+        assert line.startswith("error: ")
+        assert message in line
+
 
 class TestSearchDurabilityFlags:
     def test_scores_out_writes_full_tsv(self, fasta_files, tmp_path):

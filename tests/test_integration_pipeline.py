@@ -51,7 +51,7 @@ class TestCrossSystemAgreement:
             threshold=500,  # force the long decoy through intra-task
         )
         reference, report = app.search(query, db)
-        simulated, _ = app.search(query, db, simulate_kernels=True)
+        simulated, _ = app.search(query, db, engine="simulate")
         swps3_scores, _ = Swps3Model().search(query, db)
 
         assert np.array_equal(reference.scores, simulated.scores)
