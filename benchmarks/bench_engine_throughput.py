@@ -260,15 +260,13 @@ def run_benchmark(
         query, db, gaps, config(workers=n_workers)
     )
     fanned_obs = _session_observation(session)
-    # The same batched configurations against a pre-packed .rdb store:
-    # memmapped residues, stored geometry, and (fanned) index-reference
-    # payloads to workers instead of pickled lane matrices.
+    # The same batched configurations against a pre-encoded .rdb store:
+    # memmapped residues, a plan from the stored length index, and
+    # (fanned) index-reference payloads to workers instead of pickled
+    # lane matrices.
     with tempfile.TemporaryDirectory() as store_dir:
         store = open_database(
-            build_store(
-                db, pathlib.Path(store_dir) / "bench.rdb",
-                group_size=group_size,
-            ).path
+            build_store(db, pathlib.Path(store_dir) / "bench.rdb").path
         )
         db_seconds, _, session = time_batched(query, store, gaps, config())
         db_obs = _session_observation(session)

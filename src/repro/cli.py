@@ -96,9 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--db", metavar="PATH", default=None,
-        help="search a pre-packed .rdb database store (repro db build) "
-        "instead of re-reading/re-packing the FASTA: residues are "
-        "memory-mapped, groups are planned from the stored index, and pool "
+        help="search a pre-encoded .rdb database store (repro db build) "
+        "instead of re-reading/re-encoding the FASTA: residues are "
+        "memory-mapped, groups are planned from the stored length index "
+        "at this search's --group-size, and pool "
         "workers receive group references instead of pickled arrays; "
         "scores are bit-identical to the FASTA path.  A store that "
         "fails validation exits with code 4 (see repro db verify)",
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store validation tier at open: 'fast' (default) checks "
         "the header and every index section, 'deep' additionally "
         "CRC-walks the residue blob and recomputes the content "
-        "fingerprint and geometry",
+        "fingerprint",
     )
     p_search.add_argument(
         "--db-fallback", action="store_true",
@@ -269,20 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
     p_db_build = db_sub.add_parser(
         "build",
-        help="pack a FASTA database into an .rdb store, once, offline: "
-        "encoded residues, group geometry, id index and per-section "
+        help="encode a FASTA database into an .rdb store, once, offline: "
+        "encoded residues, length and id index and per-section "
         "CRCs behind a fingerprinted header, written atomically "
         "(temp + fsync + rename) so a crash can never leave a "
         "readable partial store",
     )
     p_db_build.add_argument("fasta", help="database FASTA file (streamed)")
     p_db_build.add_argument("store", help="output .rdb path")
-    p_db_build.add_argument(
-        "--group-size", type=int, default=None, metavar="N",
-        help="lanes per packed group persisted in the geometry tables "
-        "that db verify --deep checks (default: the engine's tuned "
-        "default); searches plan from the index at any --group-size",
-    )
     p_db_build.add_argument(
         "--comment", default="", metavar="TEXT",
         help="free-text note stored in the (checksum-exempt) 64-byte "
@@ -296,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_db_verify.add_argument(
         "--deep", action="store_true",
         help="full-CRC walk: also checksum the residue blob and "
-        "recompute the content fingerprint and group geometry "
-        "(O(database), not O(index))",
+        "recompute the content fingerprint (O(database), not O(index))",
     )
     p_db_info = db_sub.add_parser(
         "info",
@@ -597,12 +591,9 @@ def _cmd_db(args, out: IO[str]) -> int:
     from repro.engine.dbstore import FORMAT_VERSION
 
     if args.db_command == "build":
-        kwargs = {}
-        if args.group_size is not None:
-            kwargs["group_size"] = args.group_size
         try:
             info = build_store_from_fasta(
-                args.fasta, args.store, comment=args.comment, **kwargs
+                args.fasta, args.store, comment=args.comment
             )
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=out)
@@ -610,7 +601,6 @@ def _cmd_db(args, out: IO[str]) -> int:
         print(f"# built {info.path}", file=out)
         print(f"sequences:    {info.sequences}", file=out)
         print(f"residues:     {info.residues}", file=out)
-        print(f"group size:   {info.group_size}", file=out)
         print(f"file bytes:   {info.file_bytes}", file=out)
         print(f"fingerprint:  {info.fingerprint}", file=out)
         return 0
@@ -637,7 +627,6 @@ def _cmd_db(args, out: IO[str]) -> int:
     print(f"fingerprint:  {store.fingerprint}", file=out)
     print(f"sequences:    {len(store)}", file=out)
     print(f"residues:     {store.database.total_residues}", file=out)
-    print(f"group size:   {store.group_size}", file=out)
     print(
         f"lengths:      min {int(lengths.min())}, "
         f"median {int(np.median(lengths))}, max {int(lengths.max())}",

@@ -32,9 +32,10 @@ header, CRC-corrupt complete records, fingerprint or per-group hash
 mismatches — refuses cleanly with :class:`CheckpointError` so a wrong
 journal can never contaminate scores.
 
-:func:`atomic_write_text` rounds the story out: final artifacts (score
-tables, reports) land via temp-file-plus-rename, so readers never see a
-half-written result even if the process dies mid-write.
+:func:`atomic_replace` rounds the story out: final artifacts (score
+tables, reports, ``.rdb`` stores) land via temp-file-plus-rename, so
+readers never see a half-written result even if the process dies
+mid-write.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ import struct
 import tempfile
 import warnings
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -61,6 +64,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CheckpointError",
     "CheckpointJournal",
+    "atomic_replace",
     "atomic_write_text",
     "group_content_hash",
     "search_fingerprint",
@@ -369,23 +373,27 @@ class CheckpointJournal:
         self.close()
 
 
-def atomic_write_text(path: str | os.PathLike[str], text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + rename).
+@contextmanager
+def atomic_replace(path: str | os.PathLike[str]) -> Iterator[IO[bytes]]:
+    """Yield a binary temp file that replaces ``path`` atomically.
 
-    The content is fsync'd before the rename, so readers — and a
-    process resuming after a crash — only ever see the old version or
-    the complete new one, never a torn write.
+    The temp file (``<name>.*.tmp``, in the target directory) is
+    fsync'd, renamed over ``path``, and the directory fsync'd, so a
+    SIGKILL at any instant leaves either the old file or the complete
+    new one — never a torn write.  If the ``with`` body raises, the
+    temp file is removed and the target is untouched.
     """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
+        _fsync_dir(target.parent)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -394,4 +402,24 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> Path:
         except OSError:  # repro-lint: disable=RPL105
             pass
         raise
-    return target
+
+
+def _fsync_dir(directory: Path) -> None:
+    """fsync the directory so the rename itself is durable."""
+    try:
+        fd = os.open(str(directory) or ".", os.O_RDONLY)
+    # Directories are not openable for fsync on every platform; the
+    # rename is still atomic, only its durability window widens.
+    except OSError:  # repro-lint: disable=RPL105
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def atomic_write_text(path: str | os.PathLike[str], text: str) -> Path:
+    """Write ``text`` to ``path`` as UTF-8 via :func:`atomic_replace`."""
+    with atomic_replace(path) as fh:
+        fh.write(text.encode("utf-8"))
+    return Path(path)

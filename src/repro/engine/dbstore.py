@@ -1,16 +1,21 @@
 """Pre-packed on-disk database store (``.rdb``) with a trust-nothing open.
 
-Every search used to re-read FASTA, re-sort, re-pack and re-encode the
-database, and the pool executor re-shipped whole packed lane matrices
-through pickle on every dispatch.  SWAPHI-style preprocessed database
-partitions argue for building the packed, grouped, engine-ready
-representation **once, offline, on disk**; this module is that artifact
-plus the paranoid reader it requires.  A persistent file that outlives
-the process is hostile input: it sees the same torn-write, corruption
-and staleness failure modes the checkpoint journal already defends
-against, so the store borrows the journal's idioms — CRC32-framed
-sections, magic/version tokens, fsync-then-rename atomic builds — and
-refuses every defect with a typed :class:`DatabaseFormatError`.
+Every search used to re-read FASTA and re-encode the database, and the
+pool executor re-shipped whole packed lane matrices through pickle on
+every dispatch.  SWAPHI-style preprocessed databases argue for encoding
+the database **once, offline, on disk**; this module is that artifact
+plus the paranoid reader it requires.  The store holds data only — the
+encoded residues and their index.  Every planning decision (length
+order, group ranges, kernels) stays with
+:func:`~repro.engine.plan.plan_search`, which plans from the index
+lengths at whatever configuration the search runs with.
+
+A persistent file that outlives the process is hostile input: it sees
+the same torn-write, corruption and staleness failure modes the
+checkpoint journal already defends against, so the store borrows the
+journal's idioms — CRC32-framed sections, magic/version tokens,
+fsync-then-rename atomic builds — and refuses every defect with a typed
+:class:`DatabaseFormatError`.
 
 On-disk layout (all integers little-endian; see ``docs/db-format.md``)::
 
@@ -21,8 +26,7 @@ On-disk layout (all integers little-endian; see ``docs/db-format.md``)::
     [72:76]  u32: header JSON length
     [76:..]  header JSON (ascii) + u32 CRC32 of the JSON bytes
     [..:EOF] binary sections, back to back, in header-table order:
-             lengths / offsets / sort_order / id_offsets / ids /
-             geometry / codes
+             lengths / offsets / id_offsets / ids / codes
 
 The header JSON carries the format version, a sha256 **fingerprint** of
 the database content, the alphabet, and a section table (relative
@@ -35,10 +39,9 @@ Validation is tiered:
 * ``verify="fast"`` (the open default) checks the magic, the header
   frame and CRC, the version, the section table's bounds, and the CRC
   plus structural consistency of every *index* section (lengths,
-  offsets, sort order, ids, geometry) — O(index), never O(residues);
-* ``verify="deep"`` additionally CRC-walks the residue blob,
-  recomputes the content fingerprint, and re-derives the group
-  geometry from the index, refusing on any disagreement.
+  offsets, ids) — O(index), never O(residues);
+* ``verify="deep"`` additionally CRC-walks the residue blob and
+  recomputes the content fingerprint, refusing on any disagreement.
 
 ``fallback="fasta"`` degrades gracefully: instead of dying on a
 refused store, :func:`open_database` warns, charges the
@@ -53,7 +56,6 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import time
 import warnings
 import zlib
@@ -64,12 +66,8 @@ from typing import IO, Any
 import numpy as np
 
 from repro.alphabet import DNA, PROTEIN, Alphabet
-from repro.engine.pack import (
-    TAIL_EFFICIENCY_FLOOR,
-    PackedGroup,
-    pack_group,
-    plan_chunks,
-)
+from repro.engine.checkpoint import atomic_replace
+from repro.engine.pack import PackedGroup, pack_group
 from repro.obs import current as obs_current
 from repro.sequence.database import Database
 from repro.sequence.fasta import iter_fasta_file
@@ -94,7 +92,11 @@ MAGIC = b"RPRODB01"
 
 #: Header JSON format version.  Bump on any incompatible layout change;
 #: the reader refuses version skew instead of guessing.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Version token hashed into :func:`database_fingerprint`.  The digest
+#: identifies content, not layout, so it stays fixed across layouts.
+_FINGERPRINT_VERSION = 1
 
 #: Bytes of free-form comment between the magic and the header frame.
 #: Informational only and deliberately outside every checksum: it is the
@@ -108,18 +110,10 @@ _CRC = struct.Struct("<I")
 
 #: Section names, in file order.  ``codes`` is last so every other
 #: section can be validated without touching the residue blob.
-_SECTIONS = (
-    "lengths", "offsets", "sort_order", "id_offsets", "ids",
-    "geometry", "codes",
-)
+_SECTIONS = ("lengths", "offsets", "id_offsets", "ids", "codes")
 
 #: Validation tiers accepted by :func:`open_database`.
 _VERIFY_TIERS = ("fast", "deep")
-
-#: Geometry plan flavors persisted per store: ``row`` is the gotoh
-#: row-sweep plan (tail gap split at :data:`TAIL_EFFICIENCY_FLOOR`),
-#: ``column`` the striped column-sweep plan (no gap split).
-_PLAN_KINDS = {"row": TAIL_EFFICIENCY_FLOOR, "column": 0.0}
 
 _ALPHABETS: dict[str, Alphabet] = {"protein": PROTEIN, "dna": DNA}
 
@@ -133,7 +127,7 @@ class DatabaseFormatError(Exception):
 
     Raised on every defect the tiered validation detects — bad magic,
     version skew, truncated or overlapping sections, CRC mismatches,
-    index/geometry/fingerprint disagreement — and on plain I/O failure
+    index/fingerprint disagreement — and on plain I/O failure
     to read the file.  The refusal is deliberate: rebuilding from FASTA
     is always correct, searching a silently wrong database never is.
     """
@@ -155,7 +149,7 @@ def database_fingerprint(db: Database) -> str:
     db._require_residues()
     h = hashlib.sha256()
     h.update(MAGIC)
-    h.update(struct.pack("<q", FORMAT_VERSION))
+    h.update(struct.pack("<q", _FINGERPRINT_VERSION))
     h.update(db.alphabet.symbols.encode("utf-8", "replace"))
     h.update(struct.pack("<q", len(db)))
     h.update(np.ascontiguousarray(db.lengths, dtype="<i8").tobytes())
@@ -187,7 +181,6 @@ class StoreInfo:
     file_bytes: int
     sequences: int
     residues: int
-    group_size: int
     comment: str
 
 
@@ -234,17 +227,11 @@ class DatabaseStore:
         path: Path,
         fingerprint: str,
         database: Database,
-        group_size: int,
-        sort_order: np.ndarray,
-        plans: dict[str, tuple[list[tuple[int, int]], int]],
         comment: str,
     ) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.database = database
-        self.group_size = group_size
-        self.sort_order = sort_order
-        self._plans = plans
         self.comment = comment
 
     def __len__(self) -> int:
@@ -284,21 +271,16 @@ def build_store(
     db: Database,
     path: str | os.PathLike[str],
     *,
-    group_size: int = 128,
     comment: str = "",
 ) -> StoreInfo:
     """Build a ``.rdb`` store from a materialized database, atomically.
 
-    The file is assembled in a temp file in the target directory,
-    ``fsync``'d, then renamed over ``path`` (and the directory fsync'd),
-    so a SIGKILL at any instant leaves either the old store or no store
-    — never a readable partial ``.rdb``.  The stable length sort is
-    persisted, so searches plan their groups from the index without
-    re-sorting; the group geometry for both sweep flavors is persisted
-    too, and deep verification re-derives it with :func:`plan_chunks`.
+    The file is assembled via
+    :func:`~repro.engine.checkpoint.atomic_replace` (temp file in the
+    target directory, ``fsync``, rename, directory ``fsync``), so a
+    SIGKILL at any instant leaves either the old store or no store —
+    never a readable partial ``.rdb``.
     """
-    if group_size <= 0:
-        raise ValueError(f"group size must be positive, got {group_size}")
     db._require_residues()
     if len(db) == 0:
         raise ValueError("cannot build a store from an empty database")
@@ -310,29 +292,14 @@ def build_store(
     started = time.perf_counter()
     instr = obs_current()
     with instr.span("db_build"):
-        order = np.argsort(db.lengths, kind="stable")
-        sorted_lengths = db.lengths[order]
-        plans = {}
-        for kind, floor in _PLAN_KINDS.items():
-            plan = plan_chunks(sorted_lengths, group_size, tail_floor=floor)
-            plans[kind] = {
-                "ranges": [[int(s), int(e)] for s, e in plan.ranges],
-                "tail_splits": plan.tail_splits,
-            }
-        geometry = json.dumps(
-            {"group_size": group_size, "plans": plans},
-            separators=(",", ":"),
-        ).encode("ascii")
         ids_bytes, id_offsets = _ids_blob(db)
         fingerprint = database_fingerprint(db)
 
         payloads: list[tuple[str, bytes | memoryview, str, int]] = [
             ("lengths", _le64(db.lengths), "<i8", len(db)),
             ("offsets", _le64(db._offsets), "<i8", len(db) + 1),
-            ("sort_order", _le64(order), "<i8", len(db)),
             ("id_offsets", _le64(id_offsets), "<i8", len(db) + 1),
             ("ids", ids_bytes, "bytes", len(ids_bytes)),
-            ("geometry", geometry, "json", len(geometry)),
             ("codes", memoryview(db._codes), "u1", db.total_residues),
         ]
         sections = []
@@ -348,7 +315,6 @@ def build_store(
                 "alphabet": db.alphabet.name,
                 "sequences": len(db),
                 "residues": db.total_residues,
-                "group_size": group_size,
                 "sections": sections,
             },
             separators=(",", ":"),
@@ -357,31 +323,14 @@ def build_store(
         comment_field = comment_field.ljust(COMMENT_BYTES, b" ")
 
         target = Path(path)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent) or ".",
-            prefix=target.name + ".", suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(MAGIC)
-                fh.write(comment_field)
-                fh.write(_LEN.pack(len(header)))
-                fh.write(header)
-                fh.write(_CRC.pack(zlib.crc32(header)))
-                for _name, payload, _dtype, _count in payloads:
-                    _write_section(fh, payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-            _fsync_dir(target.parent)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            # Best-effort cleanup of the temp file while re-raising the
-            # real error; the temp may already be renamed or gone.
-            except OSError:  # repro-lint: disable=RPL105
-                pass
-            raise
+        with atomic_replace(target) as fh:
+            fh.write(MAGIC)
+            fh.write(comment_field)
+            fh.write(_LEN.pack(len(header)))
+            fh.write(header)
+            fh.write(_CRC.pack(zlib.crc32(header)))
+            for _name, payload, _dtype, _count in payloads:
+                _write_section(fh, payload)
     instr.count("engine.dbstore.builds", 1)
     if instr.enabled:
         instr.observe(
@@ -390,8 +339,7 @@ def build_store(
     file_bytes = target.stat().st_size
     return StoreInfo(
         path=target, fingerprint=fingerprint, file_bytes=file_bytes,
-        sequences=len(db), residues=db.total_residues,
-        group_size=group_size, comment=comment,
+        sequences=len(db), residues=db.total_residues, comment=comment,
     )
 
 
@@ -399,7 +347,6 @@ def build_store_from_fasta(
     fasta: str | os.PathLike[str],
     path: str | os.PathLike[str],
     *,
-    group_size: int = 128,
     comment: str = "",
     name: str | None = None,
 ) -> StoreInfo:
@@ -415,25 +362,11 @@ def build_store_from_fasta(
         iter_fasta_file(fasta),
         name=name or Path(os.fspath(fasta)).stem,
     )
-    return build_store(db, path, group_size=group_size, comment=comment)
+    return build_store(db, path, comment=comment)
 
 
 def _le64(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<i8").tobytes()
-
-
-def _fsync_dir(directory: Path) -> None:
-    """fsync the directory so the rename itself is durable."""
-    try:
-        fd = os.open(str(directory) or ".", os.O_RDONLY)
-    # Directories are not openable for fsync on every platform; the
-    # rename is still atomic, only its durability window widens.
-    except OSError:  # repro-lint: disable=RPL105
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +384,7 @@ def open_database(
     ``verify`` selects the validation tier: ``"fast"`` (default)
     checks the header and every index section — O(index); ``"deep"``
     additionally CRC-walks the residue blob, recomputes the content
-    fingerprint and re-derives the stored geometry — O(database).
+    fingerprint — O(database).
     Every defect raises :class:`DatabaseFormatError`.
 
     ``fallback="fasta"`` (with ``fasta=<path>``) degrades gracefully:
@@ -558,7 +491,7 @@ def _open_validated(path: Path, *, deep: bool) -> DatabaseStore:
     raw = _load_index_sections(path, data_start, sections)
     store = _assemble(path, data_start, header, sections, raw, comment)
     if deep:
-        _verify_deep(path, data_start, header, sections, store)
+        _verify_deep(path, sections, store)
     return store
 
 
@@ -642,13 +575,11 @@ def _assemble(
 ) -> DatabaseStore:
     n = header.get("sequences")
     residues = header.get("residues")
-    group_size = header.get("group_size")
     if not (
         isinstance(n, int) and n > 0
         and isinstance(residues, int) and residues > 0
-        and isinstance(group_size, int) and group_size > 0
     ):
-        raise _refuse(path, "malformed sequence/residue/group counts")
+        raise _refuse(path, "malformed sequence/residue counts")
     alphabet = _ALPHABETS.get(str(header.get("alphabet")))
     if alphabet is None:
         raise _refuse(
@@ -656,7 +587,6 @@ def _assemble(
         )
     lengths = _int64_section(path, raw, sections, "lengths", n)
     offsets = _int64_section(path, raw, sections, "offsets", n + 1)
-    order = _int64_section(path, raw, sections, "sort_order", n)
     id_offsets = _int64_section(path, raw, sections, "id_offsets", n + 1)
     if sections["codes"]["count"] != residues or (
         sections["codes"]["bytes"] != residues
@@ -669,13 +599,7 @@ def _assemble(
         or (lengths.size and int(lengths.min()) <= 0)
     ):
         raise _refuse(path, "offsets/lengths index is inconsistent")
-    if not np.array_equal(np.sort(order), np.arange(n, dtype=np.int64)):
-        raise _refuse(path, "sort order is not a permutation")
-    sorted_lengths = lengths[order]
-    if np.any(np.diff(sorted_lengths) < 0):
-        raise _refuse(path, "sort order does not sort the lengths")
     ids = _decode_ids(path, raw["ids"], id_offsets, n)
-    plans = _decode_geometry(path, raw["geometry"], group_size, n)
     try:
         codes = np.memmap(
             path, dtype=np.uint8, mode="r",
@@ -690,14 +614,10 @@ def _assemble(
         raise _refuse(
             path, f"cannot assemble the database view ({exc})"
         ) from exc
-    order.setflags(write=False)
     return DatabaseStore(
         path=path,
         fingerprint=str(header["fingerprint"]),
         database=database,
-        group_size=group_size,
-        sort_order=order,
-        plans=plans,
         comment=comment,
     )
 
@@ -738,61 +658,13 @@ def _decode_ids(
         raise _refuse(path, f"id blob is not valid UTF-8 ({exc})") from exc
 
 
-def _decode_geometry(
-    path: Path, blob: bytes, group_size: int, n: int
-) -> dict[str, tuple[list[tuple[int, int]], int]]:
-    try:
-        geometry = json.loads(blob.decode("ascii"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise _refuse(path, f"geometry is not valid JSON ({exc})") from exc
-    if (
-        not isinstance(geometry, dict)
-        or geometry.get("group_size") != group_size
-        or not isinstance(geometry.get("plans"), dict)
-        or set(geometry["plans"]) != set(_PLAN_KINDS)
-    ):
-        raise _refuse(path, "geometry disagrees with the header")
-    plans: dict[str, tuple[list[tuple[int, int]], int]] = {}
-    for kind, plan in geometry["plans"].items():
-        ranges_raw = plan.get("ranges") if isinstance(plan, dict) else None
-        tail_splits = plan.get("tail_splits") if isinstance(plan, dict) else None
-        if not isinstance(ranges_raw, list) or not isinstance(
-            tail_splits, int
-        ):
-            raise _refuse(path, f"malformed geometry plan {kind!r}")
-        cursor = 0
-        ranges: list[tuple[int, int]] = []
-        for pair in ranges_raw:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
-                or pair[0] != cursor
-                or pair[1] <= pair[0]
-            ):
-                raise _refuse(
-                    path, f"geometry plan {kind!r} has invalid ranges"
-                )
-            ranges.append((pair[0], pair[1]))
-            cursor = pair[1]
-        if cursor != n:
-            raise _refuse(
-                path,
-                f"geometry plan {kind!r} covers {cursor} of {n} sequences",
-            )
-        plans[kind] = (ranges, tail_splits)
-    return plans
-
-
 def _verify_deep(
     path: Path,
-    data_start: int,
-    header: dict[str, Any],
     sections: dict[str, dict[str, Any]],
     store: DatabaseStore,
 ) -> None:
-    """The full-CRC walk: residue blob CRC, fingerprint recomputation,
-    and geometry re-derivation, each refusing on disagreement."""
+    """The full-CRC walk: residue blob CRC and fingerprint
+    recomputation, each refusing on disagreement."""
     instr = obs_current()
     with instr.span("db_verify"):
         codes = store.database._codes
@@ -807,22 +679,3 @@ def _verify_deep(
                 "content fingerprint disagrees with the header "
                 "(edited or spliced store)",
             )
-        sorted_lengths = store.lengths[store.sort_order]
-        expected_order = np.argsort(store.lengths, kind="stable")
-        if not np.array_equal(store.sort_order, expected_order):
-            raise _refuse(
-                path, "sort order is not the stable length argsort"
-            )
-        for kind, floor in _PLAN_KINDS.items():
-            expected = plan_chunks(
-                sorted_lengths, store.group_size, tail_floor=floor
-            )
-            ranges, tail_splits = store._plans[kind]
-            if (
-                ranges != expected.ranges
-                or tail_splits != expected.tail_splits
-            ):
-                raise _refuse(
-                    path,
-                    f"stored {kind!r} geometry disagrees with the index",
-                )

@@ -122,10 +122,10 @@ class SearchConfig:
 class SearchPlan:
     """A query-independent search plan over one database.
 
-    ``order`` is the stable length sort of the database (a store's
-    persisted ``sort_order``); ``chunks.ranges`` slice it into groups,
-    ``kernels`` names the kernel stamped on each, and the ``chunks``
-    split counts record why extra groups exist.  ``split_threshold`` is
+    ``order`` is the stable length sort of the database;
+    ``chunks.ranges`` slice it into groups, ``kernels`` names the
+    kernel stamped on each, and the ``chunks`` split counts record why
+    extra groups exist.  ``split_threshold`` is
     the resolved hetero threshold (``None`` for single-kernel engines).
     Build one with :func:`plan_search`.
     """
@@ -196,8 +196,8 @@ def plan_search(
 ) -> SearchPlan:
     """Plan ``db`` for ``config``'s packing engine, once per campaign.
 
-    Reads lengths only: a store plans from its persisted sort order and
-    index lengths and never touches the residue blob.  A ``hetero``
+    Reads lengths only: a store plans from its index lengths and never
+    touches the residue blob.  A ``hetero``
     config with ``split_threshold="auto"`` is tuned here by
     :func:`repro.app.threshold.tune_split_threshold`.
     """
@@ -209,11 +209,7 @@ def plan_search(
     store = db if isinstance(db, DatabaseStore) else None
     database = db.database if isinstance(db, DatabaseStore) else db
     database._require_residues()
-    order = (
-        store.sort_order
-        if store is not None
-        else np.argsort(database.lengths, kind="stable")
-    )
+    order = np.argsort(database.lengths, kind="stable")
     threshold: int | None = None
     if config.split_threshold == "auto":
         # Imported at call time: repro.app.threshold builds CudaSW apps

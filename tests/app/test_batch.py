@@ -105,7 +105,7 @@ class TestPlanReuse:
             + [Sequence.random(f"long{i}", 1400, rng) for i in range(2)]
         )
         path = tmp_path_factory.mktemp("plan") / "db.rdb"
-        build_store(db, path, group_size=8)
+        build_store(db, path)
         queries = [random_protein(n, rng, id=f"q{n}") for n in (12, 25, 40)]
         return {"fasta": db, "store": open_database(path), "queries": queries}
 

@@ -260,3 +260,15 @@ class TestAtomicWrite:
         atomic_write_text(target, "v2")
         assert target.read_text() == "v2"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_fsyncs_directory_after_rename(self, tmp_path, monkeypatch):
+        import repro.engine.checkpoint as checkpoint
+
+        target = tmp_path / "scores.tsv"
+        synced = []
+        monkeypatch.setattr(
+            checkpoint, "_fsync_dir",
+            lambda d: synced.append((d, target.exists())),
+        )
+        atomic_write_text(target, "x")
+        assert synced == [(tmp_path, True)]

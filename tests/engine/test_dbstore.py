@@ -3,7 +3,7 @@
 The contract under test (see :mod:`repro.engine.dbstore` and
 ``docs/db-format.md``): a store-backed search is **bit-identical** to
 the FASTA path for every engine and worker count; every detectable
-defect — bad magic, truncation, CRC mismatch, version skew, geometry
+defect — bad magic, truncation, CRC mismatch, version skew, index
 or fingerprint disagreement — is refused with
 :class:`DatabaseFormatError`; and the single checksum-exempt region
 (the 64-byte comment field) is the only place corruption may pass
@@ -76,7 +76,7 @@ def query():
 @pytest.fixture(scope="module")
 def store_path(db, tmp_path_factory):
     path = tmp_path_factory.mktemp("rdb") / "db.rdb"
-    build_store(db, path, group_size=GROUP, comment="test store")
+    build_store(db, path, comment="test store")
     return path
 
 
@@ -101,7 +101,6 @@ def reference(db, query):
 def test_round_trip(db, store):
     assert store.fingerprint == database_fingerprint(db)
     assert len(store) == len(db)
-    assert store.group_size == GROUP
     assert store.comment == "test store"
     view = store.database
     assert np.array_equal(view.lengths, db.lengths)
@@ -109,14 +108,9 @@ def test_round_trip(db, store):
     assert [view.id_of(i) for i in range(len(view))] == [
         db.id_of(i) for i in range(len(db))
     ]
-    assert np.array_equal(
-        store.sort_order, np.argsort(db.lengths, kind="stable")
-    )
 
 
 def test_build_refuses_bad_inputs(db, tmp_path):
-    with pytest.raises(ValueError, match="group size"):
-        build_store(db, tmp_path / "x.rdb", group_size=0)
     lengths_only = Database.from_lengths(db.lengths, db.alphabet)
     with pytest.raises(ValueError, match="lengths-only"):
         build_store(lengths_only, tmp_path / "x.rdb")
@@ -232,12 +226,14 @@ def _reframe(src: Path, dst: Path, mutate) -> Path:
 
 
 def test_refuses_version_skew(store_path, tmp_path):
-    def bump(h):
-        h["version"] = FORMAT_VERSION + 1
+    """Older (a v1 store) and newer versions are both refused."""
+    for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
+        def skew(h):
+            h["version"] = version
 
-    bad = _reframe(store_path, tmp_path / "skew.rdb", bump)
-    with pytest.raises(DatabaseFormatError, match="version skew"):
-        open_database(bad, verify="fast")
+        bad = _reframe(store_path, tmp_path / f"skew{version}.rdb", skew)
+        with pytest.raises(DatabaseFormatError, match="version skew"):
+            open_database(bad, verify="fast")
 
 
 def test_refuses_fingerprint_tamper(store_path, tmp_path):
@@ -252,15 +248,6 @@ def test_refuses_fingerprint_tamper(store_path, tmp_path):
     # ... deep tier must catch it.
     with pytest.raises(DatabaseFormatError, match="fingerprint"):
         _open_deep(bad)
-
-
-def test_refuses_geometry_tamper(store_path, tmp_path):
-    def shrink(h):
-        h["group_size"] = GROUP + 1
-
-    bad = _reframe(store_path, tmp_path / "geom.rdb", shrink)
-    with pytest.raises(DatabaseFormatError, match="geometry"):
-        open_database(bad, verify="fast")
 
 
 def test_refuses_index_crc_flip(store_path, tmp_path):
@@ -401,8 +388,7 @@ def test_checkpoint_refuses_rebuilt_store(db, query, store, tmp_path):
         for i in range(len(db))
     ]
     other_path = tmp_path / "other.rdb"
-    build_store(Database.from_sequences(mutated), other_path,
-                group_size=GROUP)
+    build_store(Database.from_sequences(mutated), other_path)
     other = open_database(other_path)
     assert isinstance(other, DatabaseStore)
     assert np.array_equal(other.lengths, store.lengths)
@@ -424,9 +410,8 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
 # Search planning
 # ----------------------------------------------------------------------
 def test_store_plans_from_its_index(db, store):
-    """A store plans from its persisted sort order and index lengths:
-    the plan equals the FASTA plan and the persisted build-time
-    geometry, at any group size."""
+    """A store plans from its index lengths: the plan equals the FASTA
+    plan at any group size."""
     for group_size in (GROUP, GROUP + 1):
         for engine in ("batched", "striped", "hetero"):
             config = SearchConfig(engine=engine, group_size=group_size)
@@ -435,16 +420,11 @@ def test_store_plans_from_its_index(db, store):
             assert from_store.chunks == from_fasta.chunks
             assert from_store.kernels == from_fasta.kernels
             assert np.array_equal(from_store.order, from_fasta.order)
-    for engine, kind in (("batched", "row"), ("striped", "column")):
-        plan = plan_search(store, SearchConfig(engine=engine, group_size=GROUP))
-        assert (plan.chunks.ranges, plan.chunks.tail_splits) == (
-            store._plans[kind]
-        )
 
 
 def test_stored_plan_with_budget_matches_packing(db, query, store):
-    """A memory budget applied to the stored plan is bit-equal to
-    planning with the budget from scratch — groups and scores."""
+    """A memory budget applied to a store's plan is bit-equal to
+    planning the FASTA database with the budget — groups and scores."""
     budget = MemoryBudget(max_group_bytes=200_000)
     plain = BatchedEngine(
         BLOSUM62, GP, group_size=GROUP, memory_budget=budget
@@ -490,8 +470,7 @@ def test_build_from_gzipped_fasta(db, store, tmp_path):
     write_fasta(list(db), fasta)
     gz = tmp_path / "db.fasta.gz"
     gz.write_bytes(gzip.compress(fasta.read_bytes()))
-    info = build_store_from_fasta(gz, tmp_path / "gz.rdb",
-                                  group_size=GROUP)
+    info = build_store_from_fasta(gz, tmp_path / "gz.rdb")
     assert info.fingerprint == store.fingerprint
     assert info.sequences == len(db)
 
@@ -508,7 +487,7 @@ def test_from_stream_small_chunks(db):
 # ----------------------------------------------------------------------
 def test_open_and_build_instrumentation(db, tmp_path):
     with obs.collect("full") as instr:
-        build_store(db, tmp_path / "obs.rdb", group_size=GROUP)
+        build_store(db, tmp_path / "obs.rdb")
         open_database(tmp_path / "obs.rdb", verify="deep")
     counters = instr.counters.as_dict()
     assert counters["engine.dbstore.builds"] == 1

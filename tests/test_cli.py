@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.dbstore import COMMENT_BYTES, FORMAT_VERSION, MAGIC
 from repro.sequence import plant_motif, random_protein, write_fasta
 
 
@@ -497,6 +501,40 @@ class TestDbStore:
         assert "warning" in text
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert lines[1].startswith("HIT1")
+
+    def test_v1_store_is_refused_and_falls_back(
+        self, fasta_files, store_path, tmp_path
+    ):
+        """A store stamped with the previous format version exits 4;
+        with --db-fallback it prints the FASTA path's hits."""
+        data = open(store_path, "rb").read()
+        frame = len(MAGIC) + COMMENT_BYTES
+        (size,) = struct.unpack_from("<I", data, frame)
+        header = json.loads(data[frame + 4 : frame + 4 + size])
+        header["version"] = FORMAT_VERSION - 1
+        new = json.dumps(header, separators=(",", ":")).encode("ascii")
+        v1 = tmp_path / "v1.rdb"
+        v1.write_bytes(
+            data[:frame] + struct.pack("<I", len(new)) + new
+            + struct.pack("<I", zlib.crc32(new)) + data[frame + 8 + size :]
+        )
+        code, text = run_cli(["search", fasta_files["query"], "--db", str(v1)])
+        assert code == 4
+        assert "format version skew" in text
+        code, base = run_cli(
+            ["search", fasta_files["query"], fasta_files["db"]]
+        )
+        assert code == 0
+        with pytest.warns(UserWarning, match="refused"):
+            code, degraded = run_cli(
+                ["search", fasta_files["query"], fasta_files["db"],
+                 "--db", str(v1), "--db-fallback"]
+            )
+        assert code == 0
+        hits = lambda t: [
+            ln for ln in t.splitlines() if not ln.startswith("#")
+        ]
+        assert hits(degraded) == hits(base)
 
     def test_profile_includes_db_open_span(self, fasta_files, store_path):
         code, text = run_cli(
