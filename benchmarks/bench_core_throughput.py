@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty
-from repro.baselines import striped_smith_waterman
+from repro.baselines import farrar_sweep
 from repro.kernels import (
     ImprovedIntraTaskKernel,
     ImprovedKernelConfig,
     OriginalIntraTaskKernel,
 )
-from repro.sequence import PackedQueryProfile, random_protein
+from repro.sequence import PackedQueryProfile, StripedProfile, random_protein
 from repro.sw import sw_score_antidiagonal, sw_score_scalar
 
 GP = GapPenalty.cudasw_default()
@@ -45,7 +45,8 @@ def test_antidiagonal_reference(benchmark, pair):
 
 def test_striped_simd(benchmark, pair):
     q, d = pair
-    score, _ = benchmark(striped_smith_waterman, q, d, BLOSUM62, GP)
+    profile = StripedProfile(q.codes, BLOSUM62, target_lanes=8)
+    score, _ = benchmark(farrar_sweep, profile, d.codes, GP)
     assert score == sw_score_scalar(q, d, BLOSUM62, GP)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from repro.analysis.result import ExperimentResult
 from repro.app.cudasw import CudaSW
 from repro.app.multigpu import multi_gpu_time
-from repro.baselines.cpu_cost import XEON_E5345
 from repro.baselines.swps3 import Swps3Model, swps3_time_seconds
 from repro.cuda.device import TESLA_C1060
 from repro.sequence.synthetic import SWISSPROT_PROFILE
@@ -43,35 +42,17 @@ def scalability_comparison(
     rows = []
 
     # SWPS3 over 1..8 cores: measure the striped workload once, then let
-    # the CPU model scale threads (an 8-core host = the Xeon doubled).
+    # the CPU model re-time its extrapolated counts for each thread count
+    # (an 8-core host = the Xeon doubled).
     model = Swps3Model()
-    base_report = model.report(
+    counts = model.report(
         query_length, db, rng, sample_rows=swps3_sample_rows
-    )
-    # Recover the aggregate counts implied by the report's time at 4
-    # threads, then re-time for each thread count.
-    eight_core = dataclasses.replace(XEON_E5345, name="Xeon x8", cores=8)
-    from repro.baselines.sse import StripedCounts
-
-    seg = -(-query_length // 8)
-    ops_time_4 = base_report.time_seconds
-    # Reconstruct main/lazy rows from the lazy fraction and total ops.
-    # (report() extrapolated them; re-derive for re-timing.)
-    total_rows = int(
-        (ops_time_4 - len(db) * XEON_E5345.per_sequence_overhead_us * 1e-6 / 4)
-        * 4 * XEON_E5345.clock_ghz * 1e9
-        / (10 + 4 * base_report.lazy_fraction / max(1 - base_report.lazy_fraction, 1e-9))
-    ) // 10 * 10
-    main_rows = int(total_rows * (1 - base_report.lazy_fraction))
-    lazy_rows = int(total_rows * base_report.lazy_fraction)
-    counts = StripedCounts(
-        cells=cells, columns=db.total_residues, segment_length=seg,
-        main_rows=main_rows, lazy_rows=lazy_rows,
-    )
+    ).counts
+    eight_core = dataclasses.replace(model.cpu, name="Xeon x8", cores=8)
     swps3_gcups = {}
     for threads in (1, 2, 4):
         t = swps3_time_seconds(
-            counts, XEON_E5345, threads=threads, n_sequences=len(db)
+            counts, model.cpu, threads=threads, n_sequences=len(db)
         )
         swps3_gcups[threads] = cells / t / 1e9
         rows.append(("SWPS3", f"{threads} cores", swps3_gcups[threads]))

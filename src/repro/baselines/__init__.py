@@ -1,9 +1,11 @@
 """Baselines the paper compares against (or motivates with).
 
-* :mod:`~repro.baselines.sse` + :mod:`~repro.baselines.swps3` — a faithful
-  implementation of Farrar's *striped* SIMD Smith-Waterman, including the
-  lazy-F correction loop, on emulated SSE lanes, with the 4-core Xeon cost
-  model used to draw SWPS3's curve in Figure 7.
+* :mod:`~repro.baselines.swps3` — the SWPS3 model behind Figure 7's
+  reference curve: Farrar's striped SIMD Smith-Waterman with its original
+  lazy-F correction loop (:func:`farrar_sweep`, bit-exact, over the
+  engine's striped profile), the 4-core Xeon cost model, and the sampled
+  scale model that extrapolates the loop's counted work to a whole
+  database.
 * :mod:`~repro.baselines.blastlike` — a seed-and-extend heuristic in the
   BLAST family (exact word seeds, two-hit trigger, X-drop ungapped
   extension, banded gapped extension): fast, but without the optimality
@@ -12,27 +14,24 @@
 """
 
 from repro.baselines.blastlike import BlastLikeSearcher, BlastParams
-from repro.baselines.cpu_cost import CpuSpec, XEON_E5345, swps3_time_seconds
-from repro.baselines.sse import (
-    SATURATION_LIMIT,
-    AdaptiveCounts,
-    StripedProfile,
-    striped_smith_waterman,
-    striped_smith_waterman_adaptive,
+from repro.baselines.swps3 import (
+    XEON_E5345,
+    CpuSpec,
+    StripedCounts,
+    Swps3Model,
+    Swps3Report,
+    farrar_sweep,
+    swps3_time_seconds,
 )
-from repro.baselines.swps3 import Swps3Model, Swps3Report
 
 __all__ = [
-    "AdaptiveCounts",
     "BlastLikeSearcher",
     "BlastParams",
     "CpuSpec",
-    "StripedProfile",
+    "StripedCounts",
     "Swps3Model",
     "Swps3Report",
     "XEON_E5345",
-    "striped_smith_waterman",
-    "striped_smith_waterman_adaptive",
-    "SATURATION_LIMIT",
+    "farrar_sweep",
     "swps3_time_seconds",
 ]

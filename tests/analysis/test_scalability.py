@@ -1,8 +1,11 @@
 """Tests for the Section IV-B scalability comparison."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import scalability_comparison
+from repro.baselines import Swps3Model
+from repro.sequence import SWISSPROT_PROFILE
 
 
 @pytest.fixture(scope="module")
@@ -30,3 +33,12 @@ class TestScalability:
         # 1 -> 2 -> 4 cores each roughly double.
         assert 1.8 < swps3[1] / swps3[0] < 2.1
         assert 1.8 < swps3[2] / swps3[1] < 2.1
+
+    def test_four_core_row_is_the_swps3_report(self, result):
+        """Re-timing the report's own counts on its own host reproduces
+        it exactly: the 4-core row is the Figure 7 SWPS3 model."""
+        rng = np.random.default_rng(0)  # scalability_comparison(seed=0)
+        db = SWISSPROT_PROFILE.build(rng)
+        report = Swps3Model().report(567, db, rng, sample_rows=15_000)
+        row = next(r for r in result.rows if r[:2] == ("SWPS3", "4 cores"))
+        assert row[2] == report.gcups

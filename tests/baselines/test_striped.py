@@ -1,4 +1,4 @@
-"""Tests for the Farrar striped SIMD implementation and the SWPS3 model."""
+"""Tests for Farrar's striped loop and the SWPS3 model."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,27 @@ from hypothesis import strategies as st
 
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.baselines import (
-    StripedProfile,
+    CpuSpec,
+    StripedCounts,
     Swps3Model,
     XEON_E5345,
-    striped_smith_waterman,
+    farrar_sweep,
     swps3_time_seconds,
 )
-from repro.baselines.sse import StripedCounts
-from repro.sequence import Database, SWISSPROT_PROFILE, random_protein
+from repro.sequence import (
+    SWISSPROT_PROFILE,
+    Sequence,
+    StripedProfile,
+    random_protein,
+)
 from repro.sw import sw_score_scalar
 
 GP = GapPenalty.cudasw_default()
+
+
+def _sweep(q, d, gaps=GP, target_lanes=8):
+    profile = StripedProfile(q.codes, BLOSUM62, target_lanes=target_lanes)
+    return farrar_sweep(profile, d.codes, gaps)
 
 
 class TestStripedCorrectness:
@@ -26,7 +36,7 @@ class TestStripedCorrectness:
         for _ in range(25):
             m, n = int(rng.integers(1, 120)), int(rng.integers(1, 120))
             q, d = random_protein(m, rng), random_protein(n, rng)
-            s, _ = striped_smith_waterman(q, d, BLOSUM62, GP)
+            s, _ = _sweep(q, d)
             assert s == sw_score_scalar(q, d, BLOSUM62, GP), (m, n)
 
     def test_exact_under_cheap_gaps(self):
@@ -36,14 +46,14 @@ class TestStripedCorrectness:
         for _ in range(20):
             m, n = int(rng.integers(1, 100)), int(rng.integers(1, 100))
             q, d = random_protein(m, rng), random_protein(n, rng)
-            s, _ = striped_smith_waterman(q, d, BLOSUM62, gp, lanes=4)
+            s, _ = _sweep(q, d, gp, target_lanes=4)
             assert s == sw_score_scalar(q, d, BLOSUM62, gp), (m, n)
 
     @pytest.mark.parametrize("lanes", [1, 2, 4, 8, 16])
     def test_lane_count_never_changes_scores(self, lanes):
         rng = np.random.default_rng(lanes)
         q, d = random_protein(90, rng), random_protein(70, rng)
-        s, _ = striped_smith_waterman(q, d, BLOSUM62, GP, lanes=lanes)
+        s, _ = _sweep(q, d, target_lanes=lanes)
         assert s == sw_score_scalar(q, d, BLOSUM62, GP)
 
     @settings(max_examples=30, deadline=None)
@@ -52,31 +62,38 @@ class TestStripedCorrectness:
         d=st.text(alphabet="ARNDCQEGHILKMFPSTWYV", min_size=1, max_size=40),
     )
     def test_property_agreement(self, q, d):
-        s, _ = striped_smith_waterman(q, d, BLOSUM62, GP)
+        q, d = Sequence.from_text("q", q), Sequence.from_text("d", d)
+        s, _ = _sweep(q, d)
         assert s == sw_score_scalar(q, d, BLOSUM62, GP)
 
     def test_profile_reuse(self):
+        """One profile serves every subject, as SWPS3 reuses it across
+        the database."""
         rng = np.random.default_rng(2)
         q = random_protein(50, rng)
-        prof = StripedProfile(q.codes, BLOSUM62)
-        d = random_protein(40, rng)
-        s1, _ = striped_smith_waterman(q, d, BLOSUM62, GP, profile=prof)
-        s2, _ = striped_smith_waterman(q, d, BLOSUM62, GP)
-        assert s1 == s2
+        prof = StripedProfile(q.codes, BLOSUM62, target_lanes=8)
+        for n in (40, 1, 75):
+            d = random_protein(n, rng)
+            s, _ = farrar_sweep(prof, d.codes, GP)
+            assert s == _sweep(q, d)[0] == sw_score_scalar(q, d, BLOSUM62, GP)
 
     def test_profile_mismatch_rejected(self):
+        """SWPS3's word pass is 16-bit: a profile whose matrix has no
+        int16 tier cannot drive it."""
+        n = BLOSUM62.alphabet.size
+        w = np.full((n, n), -1, dtype=np.int32)
+        np.fill_diagonal(w, 32767)
+        huge = type(BLOSUM62)("huge", BLOSUM62.alphabet, w)
         rng = np.random.default_rng(3)
-        prof = StripedProfile(random_protein(50, rng).codes, BLOSUM62)
-        with pytest.raises(ValueError, match="profile"):
-            striped_smith_waterman(
-                random_protein(60, rng), random_protein(40, rng),
-                BLOSUM62, GP, profile=prof,
-            )
+        prof = StripedProfile(random_protein(50, rng).codes, huge)
+        assert prof.profile16 is None
+        with pytest.raises(ValueError, match="int16"):
+            farrar_sweep(prof, random_protein(40, rng).codes, GP)
 
     def test_counts_structure(self):
         rng = np.random.default_rng(4)
         q, d = random_protein(40, rng), random_protein(30, rng)
-        _, c = striped_smith_waterman(q, d, BLOSUM62, GP)
+        _, c = _sweep(q, d)
         assert c.cells == 40 * 30
         assert c.columns == 30
         assert c.segment_length == 5  # ceil(40/8)
@@ -86,8 +103,9 @@ class TestStripedCorrectness:
         assert c.vector_ops > 0
 
     def test_bad_lanes(self):
+        """The lane count is the CPU's: it is validated there."""
         with pytest.raises(ValueError):
-            StripedProfile(np.zeros(3, np.uint8), BLOSUM62, lanes=0)
+            CpuSpec(name="no lanes", clock_ghz=2.0, cores=1, lanes=0)
 
 
 class TestCpuCostModel:
@@ -127,17 +145,24 @@ class TestSwps3Model:
         assert rep.total_cells == 567 * swissprot.total_residues
         assert 0 <= rep.lazy_fraction < 0.2
 
-    def test_search_exact_scores(self):
-        rng = np.random.default_rng(8)
-        from repro.sequence import Sequence
-
-        seqs = [Sequence.random(f"s{i}", 30 + 11 * i, rng) for i in range(5)]
-        db = Database.from_sequences(seqs)
-        q = random_protein(45, rng)
-        scores, counts = Swps3Model().search(q, db)
-        assert len(counts) == 5
-        for i, s in enumerate(seqs):
-            assert scores[i] == sw_score_scalar(q, s, BLOSUM62, GP)
+    @pytest.mark.parametrize(
+        "query_length,time_seconds,lazy_fraction",
+        [
+            (567, 0.29393190793991414, 0.0030785370660170804),
+            (144, 0.07571785107296138, 0.017259052272128195),
+        ],
+    )
+    def test_report_pinned(
+        self, swissprot, query_length, time_seconds, lazy_fraction
+    ):
+        """The scale model's exact output: Figure 7's SWPS3 curve moves
+        only if these do."""
+        rng = np.random.default_rng(7)
+        rep = Swps3Model().report(
+            query_length, swissprot, rng, sample_rows=20_000
+        )
+        assert rep.time_seconds == time_seconds
+        assert rep.lazy_fraction == lazy_fraction
 
     def test_report_validation(self, swissprot):
         rng = np.random.default_rng(9)
@@ -145,8 +170,3 @@ class TestSwps3Model:
             Swps3Model().report(0, swissprot, rng)
         with pytest.raises(ValueError):
             Swps3Model().report(100, swissprot, rng, sample_rows=0)
-
-    def test_search_requires_residues(self, swissprot):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            Swps3Model().search(random_protein(30, rng), swissprot)

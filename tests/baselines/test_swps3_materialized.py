@@ -48,3 +48,14 @@ def test_lazy_fraction_grows_with_cheaper_gaps(materialized_db):
         200, materialized_db, rng2, sample_rows=5_000
     )
     assert cheap.lazy_fraction > strict.lazy_fraction
+
+
+def test_report_pinned(materialized_db):
+    """Real residues under cheap gaps: heavy lazy-F work, pinned exactly."""
+    from repro.alphabet import GapPenalty
+
+    rep = Swps3Model(gaps=GapPenalty(2, 1)).report(
+        200, materialized_db, np.random.default_rng(2), sample_rows=5_000
+    )
+    assert rep.time_seconds == 0.0006024090128755365
+    assert rep.lazy_fraction == 0.6060669680449283

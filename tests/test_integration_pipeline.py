@@ -11,11 +11,12 @@ import pytest
 
 from repro.alphabet import BLOSUM62, GapPenalty
 from repro.app import CudaSW, predict_batch
-from repro.baselines import BlastLikeSearcher, Swps3Model
+from repro.baselines import BlastLikeSearcher, farrar_sweep
 from repro.cuda import TESLA_C1060, TESLA_C2050
 from repro.kernels import ImprovedIntraTaskKernel, ImprovedKernelConfig
 from repro.sequence import (
     Database,
+    StripedProfile,
     evolve,
     plant_motif,
     random_protein,
@@ -52,7 +53,11 @@ class TestCrossSystemAgreement:
         )
         reference, report = app.search(query, db)
         simulated, _ = app.search(query, db, engine="simulate")
-        swps3_scores, _ = Swps3Model().search(query, db)
+        profile = StripedProfile(query.codes, BLOSUM62, target_lanes=8)
+        swps3_scores = [
+            farrar_sweep(profile, db.codes_of(i), app.gaps)[0]
+            for i in range(len(db))
+        ]
 
         assert np.array_equal(reference.scores, simulated.scores)
         assert np.array_equal(reference.scores, swps3_scores)

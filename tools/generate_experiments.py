@@ -78,11 +78,11 @@ regenerate any single exhibit with its benchmark
 * **SWPS3's query-length sensitivity** is reproduced only weakly (the
   measured lazy-F share varies, but the modeled curve is flatter than the
   paper's).  SWPS3's adaptive 8-bit/16-bit precision scheme *is*
-  implemented (`striped_smith_waterman_adaptive`, exact, with overflow
-  reruns), but synthetic workloads almost never overflow the byte pass,
-  so the Figure 7 curve keeps the measured-era 16-bit throughput
-  calibration rather than crediting a 2x byte-lane speedup the paper's
-  SWPS3 numbers clearly did not enjoy.
+  implemented, as the `uint8`/`int16`/exact tiers of `repro.engine.striped`
+  (exact, with overflow reruns), but synthetic workloads almost never
+  overflow the byte pass, so the Figure 7 curve keeps the measured-era
+  16-bit throughput calibration rather than crediting a 2x byte-lane
+  speedup the paper's SWPS3 numbers clearly did not enjoy.
 """
 
 
