@@ -56,13 +56,13 @@ def main() -> None:
     db = Database.from_sequences([homolog, *decoys], name="demo-db")
 
     app = CudaSW(TESLA_C1060)  # improved intra-task kernel by default
-    result, report = app.search(query, db)  # batched lanes engine by default
+    result, report = app.search(query, db)  # engine="auto" by default
     print("top hits:")
     for hit in result.top(3):
         print(f"  {hit.id:<18} length={hit.length:<5} score={hit.score}")
     er = app.last_engine_report
     print(
-        f"(batched engine: {er.n_groups} group(s), "
+        f"(auto picked the {er.lane_engine} engine: {er.n_groups} group(s), "
         f"padding efficiency {er.padding_efficiency:.2f})"
     )
 

@@ -15,7 +15,13 @@ from typing import Any
 
 from repro.app.cudasw import CudaSW, SearchReport
 from repro.app.results import SearchResult
-from repro.engine import DatabaseStore, SearchConfig, SearchPlan, plan_search
+from repro.engine import (
+    AutoPlan,
+    DatabaseStore,
+    SearchConfig,
+    SearchPlan,
+    plan_search,
+)
 from repro.obs import (
     COLLECT_MODES,
     RunReport,
@@ -93,14 +99,16 @@ def search_batch(
 
     The search options come as a :class:`~repro.engine.SearchConfig` or
     as its fields, exactly as in :meth:`CudaSW.search` (see the "Search
-    options" table in ``docs/engine.md``).  A packing engine (batched,
-    striped or hetero) plans the database **once per campaign** — length
-    sort, group ranges, per-group kernels and, for hetero, the tuned
-    split threshold (:func:`~repro.engine.plan_search`) — and every
-    query reuses that plan, as CUDASW++ reuses its preprocessed
-    database.  ``db`` may be an opened
-    :class:`~repro.engine.DatabaseStore`: the plan then comes from the
-    store's index and every query reads the same memmapped residues.
+    options" table in ``docs/engine.md``).  A packing engine plans the
+    database **once per campaign** — length sort, group ranges,
+    per-group kernels and, for hetero, the tuned split threshold
+    (:func:`~repro.engine.plan_search`) — and every query reuses that
+    plan, as CUDASW++ reuses its preprocessed database.  The default
+    ``engine="auto"`` holds one plan per geometry it picks by query
+    length, each built when the first query needs it.  ``db`` may be
+    an opened :class:`~repro.engine.DatabaseStore`: the plan then comes
+    from the store's index and every query reads the same memmapped
+    residues.
 
     The fault policy applies to every query's search.  Its deadline is
     per query, not per campaign; a query that exceeds it raises
@@ -129,7 +137,7 @@ def search_batch(
     config = config or SearchConfig(**options)
 
     def run() -> tuple[list[SearchResult], BatchReport]:
-        target: Database | DatabaseStore | SearchPlan = db
+        target: Database | DatabaseStore | SearchPlan | AutoPlan = db
         if config.packs:
             with obs_current().span("pack"):
                 target = plan_search(db, config)

@@ -36,6 +36,7 @@ from repro.app.results import SearchResult
 from repro.app.scheduler import schedule_inter_task
 from repro.app.transfer import TransferModel
 from repro.engine import (
+    AutoPlan,
     BatchedEngine,
     DatabaseStore,
     EngineReport,
@@ -285,7 +286,7 @@ class CudaSW:
     def search(
         self,
         query: Sequence,
-        target: Database | DatabaseStore | SearchPlan,
+        target: Database | DatabaseStore | SearchPlan | AutoPlan,
         config: SearchConfig | None = None,
         *,
         checkpoint: str | os.PathLike | None = None,
@@ -300,7 +301,8 @@ class CudaSW:
         :class:`~repro.engine.DatabaseStore` (``repro db build`` +
         :func:`~repro.engine.open_database`) or a
         :class:`~repro.engine.SearchPlan` built once for many queries
-        (:func:`~repro.engine.plan_search`; it carries its own config).
+        (:func:`~repro.engine.plan_search`; it carries its own config,
+        and an ``engine="auto"`` plan is an :class:`~repro.engine.AutoPlan`).
         The store path reads residues through a validated memory map,
         plans from the stored index and ships group references — not
         pickled arrays — to pool workers.  Scores are bit-identical
@@ -309,10 +311,12 @@ class CudaSW:
         The search options come as a :class:`~repro.engine.SearchConfig`
         or as its fields (``engine=``, ``workers=``, ``group_size=``,
         ``split_threshold=``, ``fault_policy=``, ``memory_budget=``);
-        see the "Search options" table in ``docs/engine.md``.  All
-        engines are bit-identical, which tests verify; they differ only
-        in throughput.  Packing-engine accounting lands in
-        :attr:`last_engine_report`.
+        see the "Search options" table in ``docs/engine.md``.  The
+        default ``engine="auto"`` runs gotoh lanes or ``hetero`` by
+        query length.  All engines are bit-identical, which tests
+        verify; they differ only in throughput.  Packing-engine
+        accounting lands in :attr:`last_engine_report`, whose
+        ``lane_engine`` names the engine that ran.
 
         Parameters
         ----------
@@ -355,9 +359,9 @@ class CudaSW:
             raise ValueError(
                 f"collect must be one of {COLLECT_MODES}, got {collect!r}"
             )
-        if isinstance(target, SearchPlan):
+        if isinstance(target, (SearchPlan, AutoPlan)):
             if options or config not in (None, target.config):
-                raise TypeError("a SearchPlan target carries its own config")
+                raise TypeError("a plan target carries its own config")
             config, store, db = target.config, target.store, target.database
         else:
             config = config or SearchConfig(**options)
@@ -408,7 +412,7 @@ class CudaSW:
         self,
         query: Sequence,
         db: Database,
-        target: Database | DatabaseStore | SearchPlan,
+        target: Database | DatabaseStore | SearchPlan | AutoPlan,
         config: SearchConfig,
         checkpoint: str | os.PathLike | None,
         resume: bool,

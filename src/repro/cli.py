@@ -135,35 +135,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--engine",
-        choices=("scalar", "antidiagonal", "batched", "striped", "hetero"),
-        default="batched",
-        help="functional score backend (all bit-identical): 'batched' "
-        "scores whole length-sorted groups per NumPy sweep (default), "
+        choices=(
+            "scalar", "antidiagonal", "batched", "striped", "hetero", "auto",
+        ),
+        default="auto",
+        help="functional score backend (all bit-identical): 'auto' "
+        "(default) picks by query length — short queries run the "
+        "'batched' sweep at a small measured group size, long ones "
+        "'hetero' — and the '# scored by' line names its pick; "
+        "'batched' scores whole length-sorted groups per NumPy sweep, "
         "'striped' runs the same packed pipeline with the Farrar "
         "striped lane kernel and saturating 8/16-bit score tiers, "
         "'hetero' splits the database at a length threshold — short "
         "sequences sweep as striped bulk groups, the long tail as "
-        "bounded-padding strip groups (fastest on ragged databases; "
-        "see --split-threshold), 'antidiagonal' is the per-pair "
-        "wavefront aligner, 'scalar' the slow textbook reference",
+        "bounded-padding strip groups (see --split-threshold), "
+        "'antidiagonal' is the per-pair wavefront aligner, 'scalar' "
+        "the slow textbook reference",
     )
     p_search.add_argument(
         "--split-threshold", type=_threshold_arg, default=None,
         metavar="auto|N",
-        help="hetero engine only: route sequences longer than N to the "
-        "strip engine ('auto', the hetero default, tunes N from the "
-        "database's packed-group geometry)",
+        help="--engine hetero only: route sequences longer than N to "
+        "the strip engine ('auto', the hetero default, tunes N from "
+        "the database's packed-group geometry)",
     )
     p_search.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the packing engines' group fan-out "
-        "(batched, striped, hetero; 1 = serial)",
+        "(auto, batched, striped, hetero; 1 = serial)",
     )
     p_search.add_argument(
-        "--group-size", type=int, default=DEFAULT_GROUP_SIZE,
-        metavar="N",
-        help="lanes per packed group (packing engines only; default: "
-        "%(default)s)",
+        "--group-size", type=int, default=None, metavar="N",
+        help="lanes per packed group (--engine batched, striped or "
+        f"hetero; default: {DEFAULT_GROUP_SIZE}; auto picks its own)",
     )
     p_search.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -554,9 +558,12 @@ def _cmd_search(args, out: IO[str]) -> int:
     )
     if app.last_engine_report is not None:
         er = app.last_engine_report
+        picked = (
+            "" if er.lane_engine == args.engine else f" ({er.lane_engine})"
+        )
         print(
-            f"# scored by {args.engine} engine: {er.n_groups} groups of "
-            f"<= {er.group_size} lanes, padding efficiency "
+            f"# scored by {args.engine} engine{picked}: {er.n_groups} "
+            f"groups of <= {er.group_size} lanes, padding efficiency "
             f"{er.padding_efficiency:.3f}",
             file=out,
         )

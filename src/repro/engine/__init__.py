@@ -59,8 +59,11 @@ from repro.engine.faults import (
 from repro.engine.lanes import padded_lane_profile, score_packed_group
 from repro.engine.pack import DEFAULT_STRIP_WIDTH, PackedGroup, pack_group
 from repro.engine.plan import (
+    AUTO_CROSSOVER_LENGTH,
+    AUTO_SHORT_GROUP_SIZE,
     DEFAULT_GROUP_SIZE,
     SEARCH_ENGINES,
+    AutoPlan,
     SearchConfig,
     SearchPlan,
     pack_database,
@@ -80,6 +83,7 @@ from repro.sequence.striped_profile import StripedProfile
 from repro.sw.utils import as_codes
 
 __all__ = [
+    "AutoPlan",
     "BatchedEngine",
     "CheckpointError",
     "CheckpointJournal",
@@ -111,6 +115,8 @@ __all__ = [
     "score_packed_group_striped",
     "score_packed_group_strips",
     "search_fingerprint",
+    "AUTO_CROSSOVER_LENGTH",
+    "AUTO_SHORT_GROUP_SIZE",
     "DEFAULT_DB_FANOUT_MIN_CELLS",
     "DEFAULT_FANOUT_MIN_CELLS",
     "DEFAULT_GROUP_SIZE",
@@ -154,6 +160,7 @@ class EngineReport:
     searches).  ``padded_cells`` aggregates the same quantity.
     """
 
+    #: Lanes per group of the plan that ran.
     group_size: int
     workers: int
     group_sizes: tuple[int, ...]
@@ -161,7 +168,8 @@ class EngineReport:
     group_efficiencies: tuple[float, ...]
     residues: int
     padded_cells: int
-    #: The search engine (:attr:`SearchConfig.engine`).
+    #: The explicit packing engine that ran: the configured one, or the
+    #: one ``engine="auto"`` picked for this query.
     lane_engine: str = "batched"
     #: The kernel stamped on each group (one entry per group).
     lane_engines: tuple[str, ...] = ()
@@ -193,9 +201,11 @@ class BatchedEngine:
     (``BatchedEngine(matrix, gaps, engine="hetero", workers=2)``), and
     must name a packing engine: ``"batched"`` (the row-parallel sweep
     of :mod:`~repro.engine.lanes`), ``"striped"`` (the Farrar engine of
-    :mod:`~repro.engine.striped`) or ``"hetero"`` — the paper's
+    :mod:`~repro.engine.striped`), ``"hetero"`` — the paper's
     length-threshold split into striped bulk groups and strip-swept
-    tail groups (:mod:`~repro.engine.strips`).  Scores are
+    tail groups (:mod:`~repro.engine.strips`) — or ``"auto"`` (the
+    default), which runs ``batched`` or ``hetero`` by query length
+    (:meth:`~repro.engine.plan.SearchConfig.for_query`).  Scores are
     bit-identical; only throughput differs.
     """
 
@@ -213,7 +223,7 @@ class BatchedEngine:
     def search(
         self,
         query: Sequence | np.ndarray | str,
-        target: Database | DatabaseStore | SearchPlan,
+        target: Database | DatabaseStore | SearchPlan | AutoPlan,
         *,
         checkpoint: str | os.PathLike[str] | None = None,
         resume: bool = False,
@@ -225,10 +235,13 @@ class BatchedEngine:
         database's original order plus the packing report.
 
         ``target`` is a database, an opened
-        :class:`~repro.engine.dbstore.DatabaseStore` or a
-        :class:`~repro.engine.plan.SearchPlan`.  A database is planned
+        :class:`~repro.engine.dbstore.DatabaseStore` or a plan from
+        :func:`~repro.engine.plan.plan_search`.  A database is planned
         with this engine's config; a plan brings its own config and is
         reused as is (a campaign plans once and searches many queries).
+        An ``engine="auto"`` plan first resolves the query's sub-plan,
+        and everything below — profile, fan-out, checkpoint
+        fingerprint, report — is that explicit engine's.
         A store-backed search reads residues through the store's
         memmap, ships group *references* to pool workers instead of
         pickled lane matrices, and folds the store's content
@@ -260,19 +273,22 @@ class BatchedEngine:
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
         instr = obs_current()
+        q_codes = as_codes(query, self.matrix)
         with instr.span("pack"):
             plan = (
                 target
-                if isinstance(target, SearchPlan)
+                if isinstance(target, (SearchPlan, AutoPlan))
                 else plan_search(target, self.config)
-            )
+            ).for_query(q_codes.size)
             groups = plan.groups
             if instr.enabled:
                 plan.record(instr)
         config = plan.config
+        # A plan's config names an explicit engine, whose group size
+        # SearchConfig resolves.
+        assert config.group_size is not None
         db, store = plan.database, plan.store
         with instr.span("profile_build"):
-            q_codes = as_codes(query, self.matrix)
             # Built once per search; the striped profile wraps the plain
             # one (as its exact-fallback tier) so either engine costs
             # one profile build.  Heterogeneous searches start from the

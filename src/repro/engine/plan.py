@@ -1,16 +1,20 @@
 """One search configuration and one query-independent search plan.
 
 CUDASW++ sorts and partitions the database once during preprocessing
-and then runs every query against that one layout.  The two objects
-here are that split:
+and then runs every query against that one layout.  The objects here
+are that split:
 
 * :class:`SearchConfig` — the six search options, validated once, in
   :meth:`SearchConfig.__post_init__` and nowhere else;
 * :class:`SearchPlan` — what :func:`plan_search` derives from a
-  database (or ``.rdb`` store) and a config without looking at any
-  query: the length order, the group ranges, the kernel stamped on each
-  group and the resolved split threshold.  A campaign builds it once
-  and every query reuses it.
+  database (or ``.rdb`` store) and an explicit packing engine's config
+  without looking at any query: the length order, the group ranges, the
+  kernel stamped on each group and the resolved split threshold.  A
+  campaign builds it once and every query reuses it;
+* :class:`AutoPlan` — the plan of ``engine="auto"``, which picks one of
+  two geometries per query by its length (:meth:`SearchConfig.for_query`)
+  and holds one :class:`SearchPlan` per geometry, each built on first
+  use.
 
 Every packing engine is the same packer with a different bulk kernel
 and threshold (see :func:`~repro.engine.pack.plan_groups`).
@@ -18,7 +22,7 @@ and threshold (see :func:`~repro.engine.pack.plan_groups`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +35,9 @@ from repro.obs import AnyInstrumentation, current as obs_current
 from repro.sequence.database import Database
 
 __all__ = [
+    "AUTO_CROSSOVER_LENGTH",
+    "AUTO_SHORT_GROUP_SIZE",
+    "AutoPlan",
     "DEFAULT_GROUP_SIZE",
     "PACKING_ENGINES",
     "SEARCH_ENGINES",
@@ -41,18 +48,39 @@ __all__ = [
     "plan_search",
 ]
 
-#: Default lanes per group.  Large enough that vectorized work dwarfs the
-#: per-row interpreter overhead, small enough that a length-sorted
-#: group's padded rectangle stays tight on log-normal (Swiss-Prot-shaped)
-#: length distributions, whose heavy tail dominates a too-wide last
-#: group — and several groups exist to fan out across workers.
+#: Default lanes per group of the explicit packing engines.  Large
+#: enough that vectorized work dwarfs the per-row interpreter overhead,
+#: small enough that a length-sorted group's padded rectangle stays
+#: tight on log-normal (Swiss-Prot-shaped) length distributions, whose
+#: heavy tail dominates a too-wide last group — and several groups
+#: exist to fan out across workers.
 DEFAULT_GROUP_SIZE = 128
 
-#: Packing engine -> the kernel that sweeps its bulk groups.
+#: Query length from which ``engine="auto"`` runs ``hetero`` at
+#: :data:`DEFAULT_GROUP_SIZE` lanes; shorter queries run gotoh lanes
+#: (the ``batched`` engine) at :data:`AUTO_SHORT_GROUP_SIZE`.  From the
+#: committed ``benchmarks/bench_layers.py`` run
+#: (``benchmarks/results/layers.txt``, 12 interleaved repeats on the
+#: 1,003-sequence bench database, 2-vCPU Xeon): hetero at 128 lanes
+#: beats every gotoh group size at 120 aa and every longer length
+#: (median 67.6 against 66.5 MCUPs at 120 aa, 85.6 against 66.5 at
+#: 200 aa) and loses below (61.0 against 66.6 at 100 aa).  Near the
+#: crossover the two are within each other's quartiles; earlier runs
+#: put it at 100 and 150 aa.
+AUTO_CROSSOVER_LENGTH = 120
+
+#: Lanes per gotoh group for queries shorter than
+#: :data:`AUTO_CROSSOVER_LENGTH`, from the same run: the best geometric
+#: mean MCUPs over 20-100 aa (64 lanes 65.1, 32 lanes 64.4, 16 lanes
+#: 55.0, 128 lanes 58.1).
+AUTO_SHORT_GROUP_SIZE = 64
+
+#: Explicit packing engine -> the kernel that sweeps its bulk groups.
 _BULK_KERNELS = {"batched": "gotoh", "striped": "striped", "hetero": "striped"}
 
-#: Engines that pack the database into groups and run a plan.
-PACKING_ENGINES = tuple(_BULK_KERNELS)
+#: Engines that pack the database and run a plan: the explicit ones and
+#: ``auto``, which picks ``batched`` or ``hetero`` per query.
+PACKING_ENGINES = (*_BULK_KERNELS, "auto")
 
 #: Every functional score backend.  ``scalar`` and ``antidiagonal``
 #: score pair by pair; ``simulate`` runs every pair through the
@@ -68,12 +96,16 @@ class SearchConfig:
     and ``fault_policy`` configure the worker pool, ``group_size``,
     ``split_threshold`` and ``memory_budget`` the plan; all five apply
     to the packing engines only, and ``split_threshold`` to ``hetero``
-    only (where ``None`` means ``"auto"``).
+    only (where ``None`` means ``"auto"``).  ``group_size=None`` means
+    the engine's default: :data:`DEFAULT_GROUP_SIZE` for the explicit
+    packing engines.  ``engine="auto"`` (the default) owns both
+    ``group_size`` and ``split_threshold`` and picks them per query
+    (:meth:`for_query`), so setting either is an error.
     """
 
-    engine: str = "batched"
+    engine: str = "auto"
     workers: int = 1
-    group_size: int = DEFAULT_GROUP_SIZE
+    group_size: int | None = None
     split_threshold: int | str | None = None
     fault_policy: FaultPolicy | None = None
     memory_budget: MemoryBudget | None = None
@@ -85,7 +117,7 @@ class SearchConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.group_size <= 0:
+        if self.group_size is not None and self.group_size <= 0:
             raise ValueError(
                 f"group size must be positive, got {self.group_size}"
             )
@@ -97,18 +129,27 @@ class SearchConfig:
                 f"split_threshold must be 'auto' or an integer >= 0, "
                 f"got {threshold!r}"
             )
-        if threshold is not None and self.engine != "hetero":
+        if self.engine == "auto":
+            for name in ("group_size", "split_threshold"):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"engine='auto' picks {name} per query; name an "
+                        f"explicit packing engine to set it"
+                    )
+        elif threshold is not None and self.engine != "hetero":
             raise ValueError(
                 f"split_threshold applies to engine='hetero' only "
                 f"(got engine={self.engine!r})"
             )
-        if self.engine not in PACKING_ENGINES:
-            for field in fields(self)[1:]:
-                if getattr(self, field.name) != field.default:
+        if not self.packs:
+            for option in fields(self)[1:]:
+                if getattr(self, option.name) != option.default:
                     raise ValueError(
-                        f"{field.name} applies to the batched/striped/"
+                        f"{option.name} applies to the batched/striped/"
                         f"hetero engines only (got engine={self.engine!r})"
                     )
+        if self.engine in _BULK_KERNELS and self.group_size is None:
+            object.__setattr__(self, "group_size", DEFAULT_GROUP_SIZE)
         if self.engine == "hetero" and threshold is None:
             object.__setattr__(self, "split_threshold", "auto")
 
@@ -116,6 +157,24 @@ class SearchConfig:
     def packs(self) -> bool:
         """Whether this engine packs the database and runs a plan."""
         return self.engine in PACKING_ENGINES
+
+    def for_query(self, query_length: int) -> SearchConfig:
+        """The explicit config a query of ``query_length`` runs with.
+
+        An explicit engine runs as configured.  ``engine="auto"`` picks
+        by length alone, never by run-time timings, so scores, journals
+        and reports stay deterministic: gotoh lanes at
+        :data:`AUTO_SHORT_GROUP_SIZE` below
+        :data:`AUTO_CROSSOVER_LENGTH`, ``hetero`` at its defaults from
+        there on.
+        """
+        if self.engine != "auto":
+            return self
+        if query_length < AUTO_CROSSOVER_LENGTH:
+            return replace(
+                self, engine="batched", group_size=AUTO_SHORT_GROUP_SIZE
+            )
+        return replace(self, engine="hetero")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +202,10 @@ class SearchPlan:
         """The packed groups, built on first use and then reused by
         every search of the plan."""
         return pack_groups(self.database, self.order, self.chunks, self.kernels)
+
+    def for_query(self, query_length: int) -> SearchPlan:
+        """The plan a query runs: this one, whatever its length."""
+        return self
 
     def record(self, instr: AnyInstrumentation) -> None:
         """Charge the ``engine.pack.*`` counters, and for hetero plans
@@ -191,15 +254,48 @@ class SearchPlan:
             instr.count("engine.dispatch.auto_tuned", 1)
 
 
+@dataclass(frozen=True, eq=False)
+class AutoPlan:
+    """The plan of ``engine="auto"``: one :class:`SearchPlan` per
+    geometry :meth:`SearchConfig.for_query` picks, each built on first
+    use, so a campaign plans each geometry at most once and a single
+    search plans only the geometry it runs.  Build one with
+    :func:`plan_search`.
+    """
+
+    config: SearchConfig
+    database: Database
+    store: DatabaseStore | None
+    _plans: dict[str, SearchPlan] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def for_query(self, query_length: int) -> SearchPlan:
+        """The sub-plan for a query of ``query_length``.  Counts the
+        query under ``engine.auto.queries.<engine>`` and each sub-plan
+        build under ``engine.auto.plans_built``."""
+        config = self.config.for_query(query_length)
+        instr = obs_current()
+        plan = self._plans.get(config.engine)
+        if plan is None:
+            plan = _plan_explicit(self.database, self.store, config)
+            self._plans[config.engine] = plan
+            instr.count("engine.auto.plans_built", 1)
+        instr.count(f"engine.auto.queries.{config.engine}", 1)
+        return plan
+
+
 def plan_search(
     db: Database | DatabaseStore, config: SearchConfig
-) -> SearchPlan:
+) -> SearchPlan | AutoPlan:
     """Plan ``db`` for ``config``'s packing engine, once per campaign.
 
     Reads lengths only: a store plans from its index lengths and never
     touches the residue blob.  A ``hetero``
     config with ``split_threshold="auto"`` is tuned here by
-    :func:`repro.app.threshold.tune_split_threshold`.
+    :func:`repro.app.threshold.tune_split_threshold`.  ``engine="auto"``
+    returns an :class:`AutoPlan`, which plans nothing until a query
+    asks for its geometry.
     """
     if not config.packs:
         raise ValueError(
@@ -208,6 +304,18 @@ def plan_search(
         )
     store = db if isinstance(db, DatabaseStore) else None
     database = db.database if isinstance(db, DatabaseStore) else db
+    if config.engine == "auto":
+        database._require_residues()
+        return AutoPlan(config, database, store)
+    return _plan_explicit(database, store, config)
+
+
+def _plan_explicit(
+    database: Database, store: DatabaseStore | None, config: SearchConfig
+) -> SearchPlan:
+    """The :class:`SearchPlan` of an explicit packing engine's config."""
+    # __post_init__ resolves an explicit engine's group size.
+    assert config.group_size is not None
     database._require_residues()
     order = np.argsort(database.lengths, kind="stable")
     threshold: int | None = None
@@ -234,7 +342,7 @@ def plan_search(
 
 
 def _pack(db: Database, config: SearchConfig) -> list[PackedGroup]:
-    plan = plan_search(db, config)
+    plan = _plan_explicit(db, None, config)
     instr = obs_current()
     if instr.enabled:
         plan.record(instr)
@@ -253,7 +361,12 @@ def pack_database(
     (unsorted) database order.  ``budget`` splits any group whose
     estimated sweep working set would exceed it; splitting only changes
     fan-out geometry, never scores."""
-    return _pack(db, SearchConfig(group_size=group_size, memory_budget=budget))
+    return _pack(
+        db,
+        SearchConfig(
+            engine="batched", group_size=group_size, memory_budget=budget
+        ),
+    )
 
 
 def pack_database_hetero(

@@ -227,7 +227,9 @@ class TestSearchEngines:
         app = CudaSW(TESLA_C1060)
         q = random_protein(30, rng, id="q")
         serial, _ = app.search(q, tiny_db)
-        fanned, _ = app.search(q, tiny_db, workers=2, group_size=2)
+        fanned, _ = app.search(
+            q, tiny_db, engine="batched", workers=2, group_size=2
+        )
         assert np.array_equal(serial.scores, fanned.scores)
         assert app.last_engine_report.workers == 2
         assert app.last_engine_report.group_size == 2

@@ -103,12 +103,14 @@ class TestPackWithBudget:
 
     def test_budgeted_scores_bit_identical(self, db):
         query = random_protein(35, np.random.default_rng(42), id="q")
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=8).search(
+        reference, _ = BatchedEngine(
+            BLOSUM62, GP, engine="batched", group_size=8
+        ).search(
             query, db
         )
         budget = MemoryBudget(estimate_group_bytes(2, 256))
         scores, report = BatchedEngine(
-            BLOSUM62, GP, group_size=8, memory_budget=budget
+            BLOSUM62, GP, engine="batched", group_size=8, memory_budget=budget
         ).search(query, db)
         assert np.array_equal(scores, reference)
         assert report.n_groups > 3  # the split really happened
@@ -122,9 +124,9 @@ class TestPackWithBudget:
         path = tmp_path / "budget.wal"
         budget = MemoryBudget(estimate_group_bytes(2, 256))
         BatchedEngine(
-            BLOSUM62, GP, group_size=8, memory_budget=budget
+            BLOSUM62, GP, engine="batched", group_size=8, memory_budget=budget
         ).search(query, db, checkpoint=path)
         with pytest.raises(CheckpointError, match="different search"):
-            BatchedEngine(BLOSUM62, GP, group_size=8).search(
+            BatchedEngine(BLOSUM62, GP, engine="batched", group_size=8).search(
                 query, db, checkpoint=path, resume=True
             )

@@ -44,7 +44,9 @@ def query():
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(query, db)
+    scores, _ = BatchedEngine(
+        BLOSUM62, GP, engine="batched", group_size=4
+    ).search(query, db)
     return scores
 
 
@@ -52,7 +54,8 @@ def checkpointed_search(db, query, path, *, resume=False, gaps=GP,
                         group_size=4, workers=1):
     with obs.collect("counters") as instr:
         scores, _ = BatchedEngine(
-            BLOSUM62, gaps, group_size=group_size, workers=workers
+            BLOSUM62, gaps, engine="batched", group_size=group_size,
+            workers=workers,
         ).search(query, db, checkpoint=path, resume=resume)
     return scores, instr.counters.as_dict()
 
@@ -216,7 +219,7 @@ class TestRefusal:
 
     def test_resume_requires_checkpoint_path(self, db, query):
         with pytest.raises(ValueError, match="checkpoint"):
-            BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            BatchedEngine(BLOSUM62, GP, engine="batched", group_size=4).search(
                 query, db, resume=True
             )
 

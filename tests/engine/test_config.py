@@ -14,6 +14,7 @@ import pytest
 from repro.app import CudaSW, search_batch
 from repro.cli import main
 from repro.engine import (
+    DEFAULT_GROUP_SIZE,
     SEARCH_ENGINES,
     FaultPolicy,
     MemoryBudget,
@@ -72,6 +73,26 @@ INVALID = {
         "split_threshold applies to engine='hetero' only",
         ["--engine", "antidiagonal", "--split-threshold", "10"],
     ),
+    "split-with-auto": (
+        {"split_threshold": 100},
+        "engine='auto' picks split_threshold per query",
+        ["--split-threshold", "100"],
+    ),
+    "auto-split-with-auto": (
+        {"engine": "auto", "split_threshold": "auto"},
+        "engine='auto' picks split_threshold per query",
+        ["--engine", "auto", "--split-threshold", "auto"],
+    ),
+    "group-size-with-auto": (
+        {"group_size": 64},
+        "engine='auto' picks group_size per query",
+        ["--group-size", "64"],
+    ),
+    "default-group-size-with-auto": (
+        {"engine": "auto", "group_size": 128},
+        "engine='auto' picks group_size per query",
+        ["--engine", "auto", "--group-size", "128"],
+    ),
 }
 
 
@@ -114,6 +135,17 @@ def test_hetero_defaults_to_auto_threshold():
     assert SearchConfig(engine="hetero").split_threshold == "auto"
     assert SearchConfig(engine="hetero", split_threshold=0).split_threshold == 0
     assert SearchConfig().split_threshold is None
+
+
+def test_group_size_none_means_the_engine_default():
+    assert SearchConfig().engine == "auto"
+    assert SearchConfig().group_size is None
+    for engine in ("batched", "striped", "hetero"):
+        assert SearchConfig(engine=engine).group_size == DEFAULT_GROUP_SIZE
+        assert SearchConfig(engine=engine) == SearchConfig(
+            engine=engine, group_size=DEFAULT_GROUP_SIZE
+        )
+    assert SearchConfig(engine="scalar").group_size is None
 
 
 def test_defaults_are_valid_for_every_engine():

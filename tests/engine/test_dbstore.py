@@ -89,7 +89,9 @@ def store(store_path):
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=GROUP).search(
+    scores, _ = BatchedEngine(
+        BLOSUM62, GP, engine="batched", group_size=GROUP
+    ).search(
         query, db
     )
     return scores
@@ -287,7 +289,7 @@ def test_bit_flip_fuzzer(db, query, store_path, reference, tmp_path):
         list(range(0, comment_hi + _LEN.size + 8))
         + [int(p) for p in np.linspace(0, len(data) - 1, num=96)]
     ))
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, engine="batched", group_size=GROUP)
     target = tmp_path / "fuzz.rdb"
     harmless = refused = 0
     for pos in positions:
@@ -379,7 +381,7 @@ def test_checkpoint_refuses_rebuilt_store(db, query, store, tmp_path):
     against a rebuilt store with different content — even when every
     length (and therefore the whole geometry) is unchanged."""
     journal = tmp_path / "scan.wal"
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, engine="batched", group_size=GROUP)
     engine.search(query, store, checkpoint=journal)
 
     rng = np.random.default_rng(63)
@@ -400,7 +402,7 @@ def test_store_vs_fasta_checkpoints_disagree(db, query, store, tmp_path):
     """Conservative by design: a journal from a plain-FASTA search does
     not resume against the same content opened as a store."""
     journal = tmp_path / "fasta.wal"
-    engine = BatchedEngine(BLOSUM62, GP, group_size=GROUP)
+    engine = BatchedEngine(BLOSUM62, GP, engine="batched", group_size=GROUP)
     engine.search(query, db, checkpoint=journal)
     with pytest.raises(CheckpointError):
         engine.search(query, store, checkpoint=journal, resume=True)
@@ -427,7 +429,7 @@ def test_stored_plan_with_budget_matches_packing(db, query, store):
     planning the FASTA database with the budget — groups and scores."""
     budget = MemoryBudget(max_group_bytes=200_000)
     plain = BatchedEngine(
-        BLOSUM62, GP, group_size=GROUP, memory_budget=budget
+        BLOSUM62, GP, engine="batched", group_size=GROUP, memory_budget=budget
     )
     base, base_report = plain.search(query, db)
     from_store, store_report = plain.search(query, store)

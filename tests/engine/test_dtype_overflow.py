@@ -75,7 +75,7 @@ class TestOverflowEquivalence:
         db = Database.from_sequences(
             [Sequence.from_text("d", poly_w), short]
         )
-        engine = BatchedEngine(BLOSUM62, GP, group_size=2)
+        engine = BatchedEngine(BLOSUM62, GP, engine="batched", group_size=2)
         scores, _ = engine.search(query, db)
         assert int(scores[0]) == len(poly_w) * W_SELF
         assert int(scores[1]) == sw_score_antidiagonal(

@@ -45,7 +45,8 @@ class TestPaddingEfficiency:
         )
         query = random_protein(20, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62, GapPenalty.cudasw_default(), group_size=2
+            BLOSUM62, GapPenalty.cudasw_default(), engine="batched",
+            group_size=2,
         )
         _, report = engine.search(query, db)
         assert report.residues == 60

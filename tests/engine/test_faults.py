@@ -53,7 +53,9 @@ def query():
 
 @pytest.fixture(scope="module")
 def reference(db, query):
-    scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4, workers=1).search(
+    scores, _ = BatchedEngine(
+        BLOSUM62, GP, engine="batched", group_size=4, workers=1
+    ).search(
         query, db
     )
     return scores
@@ -62,7 +64,8 @@ def reference(db, query):
 def degraded_search(db, query, policy, workers=2):
     with obs.collect("counters") as instr:
         scores, _ = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=workers, fault_policy=policy
+            BLOSUM62, GP, engine="batched", group_size=4, workers=workers,
+            fault_policy=policy,
         ).search(query, db)
     return scores, instr.counters.as_dict()
 
@@ -188,7 +191,8 @@ class TestDeadline:
             ),
         )
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=2, fault_policy=policy
+            BLOSUM62, GP, engine="batched", group_size=4, workers=2,
+            fault_policy=policy,
         )
         t0 = time.monotonic()
         with pytest.raises(SearchDeadlineExceeded) as excinfo:
@@ -226,7 +230,7 @@ class TestDeadline:
         with obs.collect("counters") as instr:
             with pytest.raises(SearchDeadlineExceeded):
                 BatchedEngine(
-                    BLOSUM62, GP, group_size=4, workers=1,
+                    BLOSUM62, GP, engine="batched", group_size=4, workers=1,
                     fault_policy=policy,
                 ).search(query, db)
         c = instr.counters.as_dict()
@@ -242,14 +246,17 @@ class TestCudaSWIntegration:
         from repro.app import CudaSW
 
         app = CudaSW()
-        serial_result, _ = app.search(query, db, workers=1, group_size=4)
+        serial_result, _ = app.search(
+            query, db, engine="batched", workers=1, group_size=4
+        )
         # 6 groups across 2 workers: each worker completes one task,
         # then dies on its second — the crash is guaranteed to fire
         # while completed results exist to recover.
         policy = FaultPolicy(chunksize=1, inject=InjectionPlan(crash_after=1))
         with obs.collect("counters") as instr:
             result, _ = app.search(
-                query, db, workers=2, group_size=4, fault_policy=policy
+                query, db, engine="batched", workers=2, group_size=4,
+                fault_policy=policy,
             )
         assert np.array_equal(result.scores, serial_result.scores)
         c = instr.counters.as_dict()
@@ -293,6 +300,6 @@ class TestCudaSWIntegration:
         """No policy given: the engine behaves exactly as before —
         parallel scores match serial, nothing raises."""
         scores, _ = BatchedEngine(
-            BLOSUM62, GP, group_size=4, workers=2
+            BLOSUM62, GP, engine="batched", group_size=4, workers=2
         ).search(query, db)
         assert np.array_equal(scores, reference)

@@ -350,7 +350,8 @@ class TestFanoutDemotion:
         rng = np.random.default_rng(60)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62, GapPenalty.cudasw_default(), group_size=4, workers=2
+            BLOSUM62, GapPenalty.cudasw_default(), engine="batched",
+            group_size=4, workers=2,
         )
         with obs.collect("counters") as instr:
             _, report = engine.search(query, ragged_db)
@@ -365,7 +366,8 @@ class TestFanoutDemotion:
         rng = np.random.default_rng(61)
         query = random_protein(30, rng, id="q")
         engine = BatchedEngine(
-            BLOSUM62, GapPenalty.cudasw_default(), group_size=4, workers=2
+            BLOSUM62, GapPenalty.cudasw_default(), engine="batched",
+            group_size=4, workers=2,
         )
         with obs.collect("counters") as instr:
             engine.search(query, ragged_db)
@@ -381,7 +383,7 @@ class TestFanoutDemotion:
         engine = BatchedEngine(
             BLOSUM62,
             GapPenalty.cudasw_default(),
-            group_size=4,
+            engine="batched", group_size=4,
             workers=2,
             fault_policy=FaultPolicy(),
         )

@@ -268,7 +268,9 @@ class TestSessionOwnership:
 
     def test_run_report_meta_describes_search(self, query, db):
         app = CudaSW()
-        app.search(query, db, collect="counters", workers=1)
+        app.search(
+            query, db, collect="counters", engine="batched", workers=1
+        )
         meta = app.last_run_report.meta
         assert meta["query_id"] == query.id
         assert meta["query_length"] == len(query)

@@ -42,7 +42,7 @@ D0                           90     22    13.6        1.9
 D2                          120     18    11.8        6.7
 D1                           40     14    10.0         24
 # modeled on Tesla C1060: 2.36 GCUPs, 0% of time in the intra-task kernel
-# scored by batched engine: 1 groups of <= 128 lanes, padding efficiency 0.667
+# scored by auto engine (batched): 1 groups of <= 64 lanes, padding efficiency 0.667
 """
 
 UNGAPPED = (0.3172224820044583, 0.07513597238394147, 0.5564469822578179)

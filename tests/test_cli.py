@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import AUTO_CROSSOVER_LENGTH
 from repro.engine.dbstore import COMMENT_BYTES, FORMAT_VERSION, MAGIC
 from repro.sequence import plant_motif, random_protein, write_fasta
 
@@ -101,12 +102,14 @@ class TestSearch:
         assert code == 0
         assert "Tesla C2050" in text
 
-    def test_batched_engine_is_default_and_reports_packing(self, fasta_files):
+    def test_auto_engine_is_default_and_reports_packing(self, fasta_files):
         code, text = run_cli(
             ["search", fasta_files["query"], fasta_files["db"]]
         )
         assert code == 0
-        assert "scored by batched engine" in text
+        # The packing line names the engine auto picked for the 80-aa query.
+        picked = "batched" if 80 < AUTO_CROSSOVER_LENGTH else "hetero"
+        assert f"scored by auto engine ({picked}):" in text
         assert "padding efficiency" in text
 
     def test_engine_choices_agree(self, fasta_files):
@@ -134,7 +137,7 @@ class TestSearch:
              "--workers", "2"]
         )
         assert code == 0
-        assert "scored by batched engine" in text
+        assert "scored by auto engine (" in text
 
     def test_unknown_engine_rejected(self, fasta_files):
         with pytest.raises(SystemExit):
@@ -144,7 +147,7 @@ class TestSearch:
             )
 
     def test_engine_line_printed_for_every_engine(self, fasta_files):
-        for engine in ("scalar", "antidiagonal", "batched"):
+        for engine in ("scalar", "antidiagonal", "batched", "auto"):
             code, text = run_cli(
                 ["search", fasta_files["query"], fasta_files["db"],
                  "--engine", engine, "--top", "2"]
@@ -234,7 +237,7 @@ class TestSearchDurabilityFlags:
     def test_group_size_flag_changes_packing(self, fasta_files):
         code, text = run_cli(
             ["search", fasta_files["query"], fasta_files["db"],
-             "--group-size", "2"]
+             "--engine", "batched", "--group-size", "2"]
         )
         assert code == 0
         assert "groups of <= 2 lanes" in text

@@ -76,7 +76,7 @@ CHILD_SCRIPT = textwrap.dedent(
     db = Database.from_sequences(read_fasta_file(db_path))
     query = read_fasta_file(query_path)[0]
     BatchedEngine(
-        BLOSUM62, GapPenalty.cudasw_default(), group_size=4
+        BLOSUM62, GapPenalty.cudasw_default(), engine="batched", group_size=4
     ).search(query, db, checkpoint=journal)
     """
 ).format(sleep=CHILD_GROUP_SLEEP)
@@ -114,12 +114,16 @@ class TestSigkillResume:
         assert child.returncode == -signal.SIGKILL  # really died by kill
         size_after_kill = journal.stat().st_size
 
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+        reference, _ = BatchedEngine(
+            BLOSUM62, GP, engine="batched", group_size=4
+        ).search(
             corpus["query"], corpus["db"]
         )
         n_groups = len(pack_database(corpus["db"], 4))
         with obs.collect("counters") as instr:
-            scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores, _ = BatchedEngine(
+                BLOSUM62, GP, engine="batched", group_size=4
+            ).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -137,7 +141,9 @@ class TestSigkillResume:
 
         # Second resume: the journal is complete, nothing recomputes.
         with obs.collect("counters") as instr2:
-            scores2, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores2, _ = BatchedEngine(
+                BLOSUM62, GP, engine="batched", group_size=4
+            ).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -166,7 +172,7 @@ class TestDeadlineResume:
 
         monkeypatch.setattr(executor, "score_packed_group", slow)
         engine = BatchedEngine(
-            BLOSUM62, GP, group_size=4,
+            BLOSUM62, GP, engine="batched", group_size=4,
             fault_policy=FaultPolicy(deadline=0.4),
         )
         with pytest.raises(SearchDeadlineExceeded) as excinfo:
@@ -174,12 +180,16 @@ class TestDeadlineResume:
         assert excinfo.value.partial  # something finished before expiry
         monkeypatch.undo()
 
-        reference, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+        reference, _ = BatchedEngine(
+            BLOSUM62, GP, engine="batched", group_size=4
+        ).search(
             corpus["query"], corpus["db"]
         )
         n_groups = len(pack_database(corpus["db"], 4))
         with obs.collect("counters") as instr:
-            scores, _ = BatchedEngine(BLOSUM62, GP, group_size=4).search(
+            scores, _ = BatchedEngine(
+                BLOSUM62, GP, engine="batched", group_size=4
+            ).search(
                 corpus["query"], corpus["db"],
                 checkpoint=journal, resume=True,
             )
@@ -269,12 +279,14 @@ class TestCliResumeFlow:
         budget_tsv = corpus["tmp"] / "budget.tsv"
         code, base_text = self.run_cli(
             ["search", corpus["query_path"], corpus["db_path"],
-             "--group-size", "16", "--scores-out", str(base_tsv)]
+             "--engine", "batched", "--group-size", "16",
+             "--scores-out", str(base_tsv)]
         )
         assert code == 0
         code, text = self.run_cli(
             ["search", corpus["query_path"], corpus["db_path"],
-             "--group-size", "16", "--memory-budget-mb", "0.02",
+             "--engine", "batched", "--group-size", "16",
+             "--memory-budget-mb", "0.02",
              "--scores-out", str(budget_tsv)]
         )
         assert code == 0
